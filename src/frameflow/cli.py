@@ -33,8 +33,14 @@ from .flows import (
     vector_field,
 )
 from .linalg import hs_norm
-from .morse import critical_report, fixed_points, perfectness_certificate
-from .skeleton import build_graph, index_h
+from .morse import (
+    _REST_COLUMNS,
+    _rest_row,
+    critical_report,
+    fixed_points,
+    perfectness_certificate,
+)
+from .skeleton import _label, build_graph
 from .strata import Tree, dimension, enumerate_irreducible, sample_stratum
 
 __all__ = ["RunConfig", "generate_matrix", "main", "run"]
@@ -281,10 +287,6 @@ def _csv(lines):
     return "\n".join(lines) + "\n"
 
 
-def _word_label(word):
-    return "(" + " ".join(str(v) for v in word) + ")"
-
-
 def _spectral(cfg):
     if cfg.eigenvalues is not None:
         if len(cfg.eigenvalues) != cfg.n:
@@ -448,9 +450,7 @@ def _cmd_skeleton(cfg):
         return g.to_json()
     lines = ["tail,head"]
     for a, b in g.edges:
-        lines.append(
-            f"{_word_label(g.vertices[a].word)},{_word_label(g.vertices[b].word)}"
-        )
+        lines.append(f"{_label(g.vertices[a].word)},{_label(g.vertices[b].word)}")
     return _csv(lines)
 
 
@@ -459,25 +459,18 @@ def _cmd_morse(cfg):
     b = _weight_ladder(cfg)
     pts = fixed_points(cfg.n, cfg.k, cfg.symplectic, max_points=cfg.max_vertices)
     reports = [critical_report(a, b, p) for p in pts]
-    grades = [index_h(p) for p in pts]
+    rows = [_rest_row(rep) for rep in reports]
     if cfg.format == "csv":
-        lines = ["word,h,morse_index,jacobian_above_one"]
-        for rep, h in zip(reports, grades):
-            above = sum(1 for v in rep.jacobian_eigs if v > 1.0)
-            lines.append(
-                f"{_word_label(rep.perm.word)},{h},{rep.morse_index},{above}"
-            )
+        lines = [",".join(_REST_COLUMNS)]
+        lines.extend(f"{_label(w)},{h},{mi},{above}" for w, h, mi, above in rows)
         return _csv(lines)
     points = [
         {
-            "word": list(rep.perm.word),
-            "h": h,
-            "morse_index": rep.morse_index,
-            "jacobian_above_one": sum(1 for v in rep.jacobian_eigs if v > 1.0),
+            **dict(zip(_REST_COLUMNS, row)),
             "jacobian_eigs": list(rep.jacobian_eigs),
             "hessian_eigs": list(rep.hessian_eigs),
         }
-        for rep, h in zip(reports, grades)
+        for rep, row in zip(reports, rows)
     ]
     blob = {
         "n": cfg.n,

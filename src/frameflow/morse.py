@@ -8,27 +8,23 @@ histogram over rest points matches the cell-count polynomial of the frame
 space coefficient by coefficient.
 """
 
-import itertools
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
-    BadSizes,
     NonPositiveEigenvalue,
     NotSimpleSpectrum,
     OutOfRange,
     PreconditionViolated,
     ShapeMismatch,
-    SizeLimit,
     ValidationError,
     WeightsNotStrict,
 )
 from .flows import SpectralData, Weights, _retract, default_spectral
 from .frames import KIND_ORTHOGONAL, KIND_UNITARY, Frame
-from .skeleton import Perm, _conj, _rank, index_h
+from .skeleton import Perm, _check_sizes, _conj, _label, _rank, _unused, _words, index_h
 
 __all__ = [
     "Certificate",
@@ -88,55 +84,16 @@ def _poly_mul(a, b):
     return tuple(out)
 
 
-def _check_nk(n, k):
-    if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n:
-        raise BadSizes(f"need 1 <= k <= n, got n={n!r}, k={k!r}")
-
-
-def _grading_span(n, k, symplectic):
-    # top grading = dimension of the frame space
-    return k * (2 * n - k) if symplectic else k * (2 * n - k - 1) // 2
-
-
 def fixed_points(n, k, symplectic=False, max_points=100000):
     """All rest points of the matrix action on (n, k) frames, as words in
     lexicographic order.
 
     Raises SizeLimit before enumerating more than max_points words.
     """
-    _check_nk(n, k)
-    if symplectic:
-        count = 1
-        for i in range(k):
-            count *= 2 * (n - i)
-    else:
-        count = math.perm(n, k)
-    if count > max_points:
-        raise SizeLimit(f"{count} rest points exceed the budget of {max_points}")
-    top = 2 * n if symplectic else n
-    out = []
-    for word in itertools.permutations(range(1, top + 1), k):
-        if symplectic and len({(v - 1) % n for v in word}) < k:
-            continue
-        out.append(Perm(n, word, symplectic=symplectic))
-    return tuple(out)
+    return _words(n, k, symplectic, max_points, "rest points")
 
 
-def eigenframe(a, p):
-    """The frame whose i-th column is the eigenvector selected by word entry i."""
-    if not isinstance(a, SpectralData):
-        raise ValidationError("eigenframe needs SpectralData")
-    if not isinstance(p, Perm):
-        raise ValidationError("eigenframe needs a Perm")
-    amb = 2 * p.n if p.symplectic else p.n
-    if a.n != amb:
-        raise ShapeMismatch(f"spectral data is {a.n}-dimensional, the word needs {amb}")
-    cols = [v - 1 for v in p.word]
-    kind = KIND_UNITARY if p.symplectic else KIND_ORTHOGONAL
-    return Frame(a.evecs[:, cols], kind)
-
-
-def _checked_evals(a, p, reciprocal):
+def _check_point(a, p):
     if not isinstance(a, SpectralData):
         raise ValidationError("expected SpectralData")
     if not isinstance(p, Perm):
@@ -144,6 +101,18 @@ def _checked_evals(a, p, reciprocal):
     amb = 2 * p.n if p.symplectic else p.n
     if a.n != amb:
         raise ShapeMismatch(f"spectral data is {a.n}-dimensional, the word needs {amb}")
+
+
+def eigenframe(a, p):
+    """The frame whose i-th column is the eigenvector selected by word entry i."""
+    _check_point(a, p)
+    cols = [v - 1 for v in p.word]
+    kind = KIND_UNITARY if p.symplectic else KIND_ORTHOGONAL
+    return Frame(a.evecs[:, cols], kind)
+
+
+def _checked_evals(a, p, reciprocal):
+    _check_point(a, p)
     for v in a.evals:
         if v <= 0.0:
             raise NonPositiveEigenvalue(f"eigenvalues must be positive, got {v}")
@@ -157,14 +126,6 @@ def _checked_evals(a, p, reciprocal):
                     "paired eigenvalues must multiply to one for the paired action"
                 )
     return a.evals
-
-
-def _free_labels(p):
-    used = set(p.word)
-    if p.symplectic:
-        used |= {_conj(v, p.n) for v in p.word}
-    amb = 2 * p.n if p.symplectic else p.n
-    return [j for j in range(1, amb + 1) if j not in used]
 
 
 def jacobian_spectrum(a, p):
@@ -181,7 +142,7 @@ def jacobian_spectrum(a, p):
     out = []
     if p.symplectic:
         out.extend(lam[_conj(v, n) - 1] / lam[v - 1] for v in word)
-    free = _free_labels(p)
+    free = _unused(word, n, p.symplectic)
     for i in range(k):
         li = lam[word[i] - 1]
         out.extend(lam[j - 1] / li for j in free)
@@ -220,7 +181,7 @@ def hessian_spectrum(a, b, p):
             scale * b2[i] * (lam2[_conj(v, n) - 1] - lam2[v - 1])
             for i, v in enumerate(word)
         )
-    free = _free_labels(p)
+    free = _unused(word, n, p.symplectic)
     for i in range(k):
         li = lam2[word[i] - 1]
         out.extend(scale * b2[i] * (lam2[j - 1] - li) for j in free)
@@ -266,7 +227,7 @@ def critical_report(a, b, p):
 def poincare_poly(n, k, symplectic=False):
     """Cell-count polynomial of the (n, k) frame space: the product of one
     truncated geometric factor per column."""
-    _check_nk(n, k)
+    _check_sizes(n, k)
     coeffs = (1,)
     for i in range(1, k + 1):
         width = 2 * n - 2 * i + 2 if symplectic else n - i + 1
@@ -274,25 +235,34 @@ def poincare_poly(n, k, symplectic=False):
     return Polynomial(coeffs)
 
 
+def _histogram(grades, n, k, symplectic):
+    # top grading = dimension of the frame space
+    top = k * (2 * n - k) if symplectic else k * (2 * n - k - 1) // 2
+    coeffs = [0] * (top + 1)
+    for h in grades:
+        coeffs[h] += 1
+    return Polynomial(tuple(coeffs))
+
+
 def morse_poly(n, k, symplectic=False, max_points=100000):
     """Histogram of the grading over all rest points, as a polynomial."""
     pts = fixed_points(n, k, symplectic, max_points)
-    coeffs = [0] * (_grading_span(n, k, symplectic) + 1)
-    for p in pts:
-        coeffs[index_h(p)] += 1
-    return Polynomial(tuple(coeffs))
+    return _histogram((index_h(p) for p in pts), n, k, symplectic)
+
+
+def _available(word, n, symplectic):
+    # labels a counter may still pick after word, in precedence order
+    return sorted(_unused(word, n, symplectic), key=lambda v: _rank(v, n))
 
 
 def counting_bijection(n, k, s, symplectic=False):
     """Word whose grading equals sum(s): the i-th letter is the (s_i+1)-th
     smallest available label in the precedence order, where choosing a
     label retires it (and its partner, in the paired case)."""
-    _check_nk(n, k)
+    _check_sizes(n, k)
     s = tuple(s)
     if len(s) != k:
         raise OutOfRange(f"counter needs {k} entries, got {len(s)}")
-    amb = 2 * n if symplectic else n
-    used = set()
     word = []
     for i, si in enumerate(s, start=1):
         top = 2 * n - 2 * i + 1 if symplectic else n - i
@@ -300,15 +270,7 @@ def counting_bijection(n, k, s, symplectic=False):
             raise OutOfRange(f"counter entries must be integers, got {si!r}")
         if not 0 <= si <= top:
             raise OutOfRange(f"entry {i} must lie in 0..{top}, got {si}")
-        avail = sorted(
-            (v for v in range(1, amb + 1) if v not in used),
-            key=lambda v: _rank(v, n),
-        )
-        v = avail[si]
-        word.append(v)
-        used.add(v)
-        if symplectic:
-            used.add(_conj(v, n))
+        word.append(_available(word, n, symplectic)[si])
     return Perm(n, tuple(word), symplectic=symplectic)
 
 
@@ -316,20 +278,9 @@ def counting_inverse(p):
     """Counter of a word: how many still-available labels precede each letter."""
     if not isinstance(p, Perm):
         raise ValidationError("expected a Perm")
-    n = p.n
-    amb = 2 * n if p.symplectic else n
-    used = set()
-    out = []
-    for v in p.word:
-        avail = sorted(
-            (u for u in range(1, amb + 1) if u not in used),
-            key=lambda u: _rank(u, n),
-        )
-        out.append(avail.index(v))
-        used.add(v)
-        if p.symplectic:
-            used.add(_conj(v, n))
-    return tuple(out)
+    return tuple(
+        _available(p.word[:i], p.n, p.symplectic).index(v) for i, v in enumerate(p.word)
+    )
 
 
 def _chart_directions(p):
@@ -351,7 +302,7 @@ def _chart_directions(p):
     if p.symplectic:
         for i, v in enumerate(word):
             dirs.append(single(i, _conj(v, n)))
-    free = _free_labels(p)
+    free = _unused(word, n, p.symplectic)
     for i in range(k):
         for j in free:
             dirs.append(single(i, j))
@@ -396,6 +347,27 @@ def _numeric_index(a, b, p, step):
     return idx
 
 
+# rest-point columns, named alike in the morse and certify outputs
+_REST_COLUMNS = ("word", "h", "morse_index", "jacobian_above_one")
+_CERT_COLUMNS = _REST_COLUMNS + ("numeric_index", "ok")
+
+
+def _rest_row(rep):
+    """Values of _REST_COLUMNS for one audited rest point."""
+    above = sum(1 for v in rep.jacobian_eigs if v > 1.0)
+    return rep.perm.word, index_h(rep.perm), rep.morse_index, above
+
+
+def _certificate_rows(reports, numeric):
+    rows = []
+    for pos, rep in enumerate(reports):
+        word, h, mi, above = _rest_row(rep)
+        num = None if numeric is None else numeric[pos]
+        ok = mi == h == above and (num is None or num == h)
+        rows.append((word, h, mi, above, num, ok))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Perfectness audit: grading histogram vs cell-count polynomial, with a
@@ -409,29 +381,15 @@ class Certificate:
     match: bool
     reports: tuple
     numeric: tuple  # numeric indices aligned with reports, or None
+    # per-point values of _CERT_COLUMNS; derived from reports and numeric
+    # when not given
+    _rows: tuple = field(default=None, repr=False, compare=False)
 
-    def _rows(self):
-        rows = []
-        for pos, rep in enumerate(self.reports):
-            h = index_h(rep.perm)
-            above = sum(1 for v in rep.jacobian_eigs if v > 1.0)
-            num = None if self.numeric is None else self.numeric[pos]
-            ok = rep.morse_index == h == above and (num is None or num == h)
-            rows.append((rep.perm.word, h, rep.morse_index, above, num, ok))
-        return rows
+    def __post_init__(self):
+        if self._rows is None:
+            object.__setattr__(self, "_rows", _certificate_rows(self.reports, self.numeric))
 
     def to_json(self):
-        per_point = [
-            {
-                "word": list(word),
-                "h": h,
-                "morse_index": mi,
-                "jacobian_above_one": above,
-                "numeric_index": num,
-                "ok": ok,
-            }
-            for word, h, mi, above, num, ok in self._rows()
-        ]
         blob = {
             "n": self.n,
             "k": self.k,
@@ -439,16 +397,15 @@ class Certificate:
             "morse_coeffs": list(self.morse.coeffs),
             "poincare_coeffs": list(self.poincare.coeffs),
             "match": self.match,
-            "per_point": per_point,
+            "per_point": [dict(zip(_CERT_COLUMNS, row)) for row in self._rows],
         }
         return json.dumps(blob, indent=2, sort_keys=True) + "\n"
 
     def csv_lines(self):
-        lines = ["word,h,morse_index,jacobian_above_one,numeric_index,ok"]
-        for word, h, mi, above, num, ok in self._rows():
-            label = "(" + " ".join(str(v) for v in word) + ")"
+        lines = [",".join(_CERT_COLUMNS)]
+        for word, h, mi, above, num, ok in self._rows:
             numtxt = "" if num is None else str(num)
-            lines.append(f"{label},{h},{mi},{above},{numtxt},{str(ok).lower()}")
+            lines.append(f"{_label(word)},{h},{mi},{above},{numtxt},{str(ok).lower()}")
         return lines
 
 
@@ -476,18 +433,17 @@ def perfectness_certificate(
         numeric = n <= 2 if symplectic else n <= 4
     reports = tuple(critical_report(a, b, p) for p in pts)
     nums = tuple(_numeric_index(a, b, p, step) for p in pts) if numeric else None
-    morse = morse_poly(n, k, symplectic, max_points)
+    rows = _certificate_rows(reports, nums)
+    morse = _histogram((row[1] for row in rows), n, k, symplectic)
     poincare = poincare_poly(n, k, symplectic)
-    cert = Certificate(
+    return Certificate(
         n=n,
         k=k,
         symplectic=bool(symplectic),
         morse=morse,
         poincare=poincare,
-        match=False,
+        match=morse == poincare and all(row[5] for row in rows),
         reports=reports,
         numeric=nums,
+        _rows=rows,
     )
-    ok = morse == poincare and all(row[5] for row in cert._rows())
-    object.__setattr__(cert, "match", ok)
-    return cert

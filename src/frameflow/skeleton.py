@@ -50,6 +50,40 @@ def _rank(v, n):
     return v if v <= n else 3 * n + 1 - v
 
 
+def _unused(word, n, symplectic):
+    """Labels still free beside word, ascending: neither an entry nor, in
+    the paired case, the partner of an entry."""
+    used = set(word)
+    if symplectic:
+        used |= {_conj(v, n) for v in word}
+    return [j for j in range(1, (2 * n if symplectic else n) + 1) if j not in used]
+
+
+def _label(word):
+    """Name of a word in the CSV and DOT outputs, e.g. "(1 2)"."""
+    return "(" + " ".join(str(v) for v in word) + ")"
+
+
+def _check_sizes(n, k):
+    if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n:
+        raise BadSizes(f"need 1 <= k <= n, got n={n!r}, k={k!r}")
+
+
+def _words(n, k, symplectic, budget, noun):
+    """Every length-k word as a Perm, in lexicographic order.  The count is
+    checked against budget first; a SizeLimit calls the words noun."""
+    _check_sizes(n, k)
+    # a paired word also picks a side of each of its k partner classes
+    count = math.perm(n, k) * (2**k if symplectic else 1)
+    if count > budget:
+        raise SizeLimit(f"{count} {noun} exceed the budget of {budget}")
+    return tuple(
+        Perm(n, word, symplectic=symplectic)
+        for word in itertools.permutations(range(1, (2 * n if symplectic else n) + 1), k)
+        if not symplectic or len({(v - 1) % n for v in word}) == k
+    )
+
+
 @dataclass(frozen=True)
 class Perm:
     """Injective word picking one eigendirection per frame column.
@@ -156,14 +190,12 @@ def index_h(p):
     edges in the skeleton graph."""
     n, k, word = p.n, p.k, p.word
     r = [_rank(v, n) for v in word]
+    free = [_rank(j, n) for j in _unused(word, n, p.symplectic)]
     total = sum(1 for i in range(k) for j in range(i + 1, k) if r[i] > r[j])
-    if not p.symplectic:
-        free = set(range(1, n + 1)) - set(word)
-        return total + sum(1 for v in word for j in free if v > j)
-    used = set(word) | {_conj(v, n) for v in word}
-    free = [_rank(j, n) for j in range(1, 2 * n + 1) if j not in used]
-    total += sum(1 for v in word if _rank(v, n) > _rank(_conj(v, n), n))
     total += sum(1 for rv in r for fj in free if rv > fj)
+    if not p.symplectic:
+        return total
+    total += sum(1 for v in word if _rank(v, n) > _rank(_conj(v, n), n))
     total += sum(
         1
         for i in range(k)
@@ -177,11 +209,7 @@ def _ascents(p):
     """Words of every vertex one ascending move away from p."""
     n, k, word = p.n, p.k, p.word
     out = set()
-    if p.symplectic:
-        used = set(word) | {_conj(v, n) for v in word}
-        free = [j for j in range(1, 2 * n + 1) if j not in used]
-    else:
-        free = [j for j in range(1, n + 1) if j not in set(word)]
+    free = _unused(word, n, p.symplectic)
     for i, v in enumerate(word):
         rv = _rank(v, n)
         if p.symplectic and rv < _rank(_conj(v, n), n):
@@ -215,12 +243,12 @@ class SkeletonGraph:
     h: tuple  # per-vertex grading, equal to the incoming-edge count
 
     def to_dot(self):
-        names = [" ".join(str(v) for v in p.word) for p in self.vertices]
+        names = [_label(p.word) for p in self.vertices]
         lines = ["digraph skeleton {"]
         for name, grade in zip(names, self.h):
-            lines.append(f'  "({name})" [label="({name}) [H={grade}]"];')
+            lines.append(f'  "{name}" [label="{name} [H={grade}]"];')
         for a, b in self.edges:
-            lines.append(f'  "({names[a]})" -> "({names[b]})";')
+            lines.append(f'  "{names[a]}" -> "{names[b]}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -243,24 +271,8 @@ def build_graph(n, k, symplectic=False, max_vertices=100000):
     SizeLimit is raised before enumeration whenever the vertex count
     would exceed max_vertices.
     """
-    if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n:
-        raise BadSizes(f"need 1 <= k <= n, got n={n!r}, k={k!r}")
-    if symplectic:
-        count = 1
-        for i in range(k):
-            count *= 2 * (n - i)
-    else:
-        count = math.perm(n, k)
-    if count > max_vertices:
-        raise SizeLimit(f"{count} vertices exceed the budget of {max_vertices}")
-    top = 2 * n if symplectic else n
-    words = []
-    for word in itertools.permutations(range(1, top + 1), k):
-        if symplectic and len({(v - 1) % n for v in word}) < k:
-            continue
-        words.append(word)
-    vertices = tuple(Perm(n, w, symplectic=symplectic) for w in words)
-    where = {w: i for i, w in enumerate(words)}
+    vertices = _words(n, k, symplectic, max_vertices, "vertices")
+    where = {p.word: i for i, p in enumerate(vertices)}
     edges = []
     for idx, p in enumerate(vertices):
         edges.extend((idx, where[w]) for w in sorted(_ascents(p)))
@@ -301,10 +313,8 @@ def _extreme(t, pick):
     n = t.n
     word = []
     for part in t.sets:
-        used = set(word)
-        if t.symplectic:
-            used |= {_conj(v, n) for v in word}
-        avail = [v for v in part if v not in used]
+        free = _unused(word, n, t.symplectic)
+        avail = [v for v in part if v in free]
         if not avail:
             raise Inconsistent("empty stratum has no extreme vertices")
         word.append(pick(avail, key=lambda v: _rank(v, n)))

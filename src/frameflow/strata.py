@@ -20,10 +20,6 @@ from .frames import KIND_ORTHOGONAL, KIND_UNITARY, Frame
 from .linalg import symplectic_j
 
 
-def _popcount(m):
-    return bin(m).count("1")
-
-
 def _subset(a, b):
     return a | b == b
 
@@ -115,7 +111,7 @@ def _check_index(t, i):
 def card(t, i):
     """Number of elements in node i (1-based)."""
     _check_index(t, i)
-    return _popcount(t.masks[i - 1])
+    return t.masks[i - 1].bit_count()
 
 
 def depth(t, i):
@@ -181,7 +177,7 @@ def _forces(t, i):
         if _subset(s, m) and _subset(_conj_mask(s, t.n), m)
     )
     forced = depth(t, i) + codepth(t, i) + 1
-    return 2 * (forced - beta) == 2 * card(t, i) - _popcount(m & cm)
+    return 2 * (forced - beta) == 2 * card(t, i) - (m & cm).bit_count()
 
 
 def is_root(t, i):
@@ -402,7 +398,7 @@ def enumerate_irreducible(n, k, symplectic=False):
     def extend(prefix):
         level = len(prefix)
         for m in range(1, 1 << u):
-            size = _popcount(m)
+            size = m.bit_count()
             dep = 0
             cod = 0
             beta = 0
@@ -432,7 +428,7 @@ def enumerate_irreducible(n, k, symplectic=False):
                 continue
             if symplectic:
                 cm = _conj_mask(m, n)
-                forces = 2 * (dep + cod + 1 - beta) == 2 * size - _popcount(m & cm)
+                forces = 2 * (dep + cod + 1 - beta) == 2 * size - (m & cm).bit_count()
             else:
                 cm = 0
                 forces = dep + 1 == size

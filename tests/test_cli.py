@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -284,6 +285,53 @@ def test_certify_symplectic(tmp_path):
     assert blob["morse_coeffs"] == [1, 2, 2, 2, 1]
 
 
+# ------------------------------------------------- rest-point output bytes
+
+
+def _stdout(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n,k,sp", [(3, 2, False), (4, 3, False), (2, 2, True)])
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_morse_csv_matches_certify_csv_columns(capsys, n, k, sp, seed):
+    argv = ["--n", str(n), "--k", str(k), "--seed", seed, "--format", "csv"]
+    argv += ["--symplectic"] if sp else []
+    morse = _stdout(capsys, ["morse"] + argv).splitlines()
+    cert = _stdout(capsys, ["certify"] + argv).splitlines()
+    assert len(morse) == len(cert) > 1
+    assert morse == [",".join(line.split(",")[:4]) for line in cert]
+
+
+# sha256 of stdout, recorded before the word enumeration, free-label rule and
+# rest-point rows were merged into one layer; any byte change shows here
+_GOLDEN = {
+    ("skeleton", "csv", False): "b0da1a67f377b519d5174b7191ce61515fe60efbd0bb1820fd21c290176d44e4",
+    ("skeleton", "json", False): "ab2662cc47239d6529f5b64d4413a6ab0c2123bea3a3be8f7fa9cf03dc6a2ab5",
+    ("skeleton", "dot", False): "85bbd9d3220a54a63f80dcb50d549ae7cf9755c3177a6c97134f45029e09aa7d",
+    ("morse", "csv", False): "1b48c5804b9023ddecbf03f05a010fad7a0f1b84737f5499392f8b706b2618fe",
+    ("morse", "json", False): "7ade524e9285ee6606e5a9e47921e985fc5e25de4dbd1fdf855a0a8ec0b52711",
+    ("certify", "json", False): "4184bc8b43dea9d9956fd56b6d139ebc473948a55d65307ebc630e56ab6d6651",
+    ("certify", "csv", False): "b137ef45fd87f4e18ed5f7c08d921bdd50c4e7557e9daab908eaeab75daf11ce",
+    ("skeleton", "csv", True): "0f1467e9a1a7d2cd4be8612e7f2c213a53d0ff31f1a35fd637bfd7c07ad53fc1",
+    ("skeleton", "json", True): "6a8ec200f6f54b0ced52fd1dfc653ee57e03c74ad6544934c5086c055dc735e3",
+    ("skeleton", "dot", True): "f092d176a8036f02b9bf58122ec644e7276fc3320103073ffea7caf70930851f",
+    ("morse", "csv", True): "479b73d419c6f6fe6bba921fe91c4af3266800d0beb1b0c6a1820fe74f209471",
+    ("morse", "json", True): "f4ac5c3e30da9dfab1c0f2b0d249e90d7e2e1c14c92ac5358568e4f5a9fac664",
+    ("certify", "json", True): "9978194f366439743e9a639b0c49c0a817756caf82e05b183388e71bbb11164d",
+    ("certify", "csv", True): "b5be820d14724ff66b73f4e2df22aba4ed5ce9250840cf809399627cdcb9bf96",
+}
+
+
+@pytest.mark.parametrize("command,fmt,sp", sorted(_GOLDEN))
+def test_rest_point_outputs_golden_bytes(capsys, command, fmt, sp):
+    # (4, 2) plain and (2, 2) paired, seed 0
+    size = ["--n", "2", "--k", "2", "--symplectic"] if sp else ["--n", "4", "--k", "2"]
+    out = _stdout(capsys, [command, *size, "--seed", "0", "--format", fmt])
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN[command, fmt, sp]
+
+
 # ------------------------------------------------------------- config files
 
 
@@ -325,4 +373,5 @@ def test_module_entrypoint_subprocess():
         timeout=120,
     )
     assert proc.returncode == 0
+    assert proc.stderr == ""
     assert json.loads(proc.stdout)["match"] is True

@@ -20,6 +20,7 @@ from frameflow.errors import (
 from frameflow.flows import SpectralData, Weights, default_spectral, flow
 from frameflow.frames import Frame, act
 from frameflow.morse import (
+    Certificate,
     CriticalReport,
     Polynomial,
     counting_bijection,
@@ -498,3 +499,43 @@ def test_flow_attracts_to_stratum_minimum_symplectic():
         assert member_residual(singleton_tree(lo), down, basis) < 1e-6
         up = flow(gen, x, -40.0)
         assert member_residual(singleton_tree(hi), up, basis) < 1e-6
+
+
+# ------------------------------------------------ agreement with the skeleton
+
+
+def _word_layer_sizes():
+    plain = [(n, k, False) for n in range(1, 6) for k in range(1, n + 1)]
+    return plain + [(n, k, True) for n in range(1, 4) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n,k,sp", _word_layer_sizes())
+def test_graph_vertices_are_the_rest_points(n, k, sp):
+    g = build_graph(n, k, sp)
+    pts = fixed_points(n, k, sp)
+    assert [p.word for p in g.vertices] == [p.word for p in pts]
+    assert g.h == tuple(index_h(p) for p in pts)
+
+
+@pytest.mark.parametrize("n,k,sp", _word_layer_sizes())
+def test_graph_and_rest_points_share_the_size_budget(n, k, sp):
+    count = len(fixed_points(n, k, sp))
+    for budget in (count - 1, count):
+        fails = []
+        for enumerate_words in (build_graph, fixed_points):
+            try:
+                enumerate_words(n, k, sp, budget)
+            except SizeLimitError:
+                fails.append(True)
+            else:
+                fails.append(False)
+        assert fails == [budget < count] * 2
+
+
+def test_certificate_built_directly_derives_its_rows():
+    cert = perfectness_certificate(3, 2)
+    names = ("n", "k", "symplectic", "morse", "poincare", "match", "reports", "numeric")
+    again = Certificate(**{name: getattr(cert, name) for name in names})
+    assert again == cert
+    assert again.to_json() == cert.to_json()
+    assert again.csv_lines() == cert.csv_lines()
