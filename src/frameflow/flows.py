@@ -4,6 +4,7 @@ and the Lyapunov audit that certifies monotonicity along a companion flow."""
 import json
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import (
     WeightsNotStrict,
 )
 from .frames import KIND_UNITARY, Frame, _act_checked, _invertible
-from .linalg import qr_positive, symplectic_j, tri_left
+from .linalg import hs_norm, qr_positive, symplectic_j, tri_left
 
 _SIMPLE_GAP = 1e-10
 _MONOTONE_SLACK = 1e-10
@@ -126,10 +127,12 @@ class FlowConfig:
     integrator: str = "exact"
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValidationError(f"step must be positive, got {self.step}")
-        if not self.horizon > 0.0:
-            raise ValidationError(f"horizon must be positive, got {self.horizon}")
+        for name in ("step", "horizon"):
+            v = getattr(self, name)
+            if not v > 0.0:
+                raise ValidationError(f"{name} must be positive, got {v}")
+            if not math.isfinite(v):
+                raise ValidationError(f"{name} must be finite, got {v}")
         if self.step > self.horizon:
             raise ValidationError("step must not exceed horizon")
         if self.integrator not in _INTEGRATORS:
@@ -183,29 +186,51 @@ def _retract(m, kind):
     return qr_positive(m).q
 
 
-def _rk4_step(fieldfn, m, dt):
+def _walk(x, total, step, advance):
+    """Yield (t, frame) at t = 0 and after each step of the signed grid to
+    total: floor(|total|/step + 1e-9) full steps, then a remainder step when
+    |total| - nsteps*step exceeds 1e-12.  advance(x, dt) takes one step."""
+    span = abs(total)
+    nsteps = int(math.floor(span / step + 1e-9))
+    rem = span - nsteps * step
+    dt = -step if total < 0.0 else step
+    yield 0.0, x
+    for i in range(1, nsteps + 1):
+        x = advance(x, dt)
+        yield i * dt, x
+    if rem > 1e-12:
+        x = advance(x, -rem if total < 0.0 else rem)
+        yield total, x
+
+
+def _rk4_step(fieldfn, x, dt):
+    m = x.mat
     k1 = fieldfn(m)
     k2 = fieldfn(m + 0.5 * dt * k1)
     k3 = fieldfn(m + 0.5 * dt * k2)
     k4 = fieldfn(m + dt * k3)
-    return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    drift = np.abs(np.linalg.norm(m, axis=0) - 1.0).max()
+    if drift > _DRIFT_LIMIT:
+        raise Divergence(f"column norms drifted by {drift:.3e}; reduce the step")
+    return Frame(_retract(m, x.kind), x.kind)
 
 
-def _advance_rk4(fieldfn, x, total, step, kind):
-    if total == 0.0:
-        return x
-    sign = 1.0 if total > 0.0 else -1.0
-    remaining = abs(total)
-    m = np.array(x.mat)
-    while remaining > 1e-12:
-        dt = sign * min(step, remaining)
-        m = _rk4_step(fieldfn, m, dt)
-        drift = np.abs(np.linalg.norm(m, axis=0) - 1.0).max()
-        if drift > _DRIFT_LIMIT:
-            raise Divergence(f"column norms drifted by {drift:.3e}; reduce the step")
-        m = _retract(m, x.kind)
-        remaining -= abs(dt)
-    return Frame(m, x.kind)
+def _flow_stepper(a, x, t, config):
+    """The entry check of flow and flow_path, then their step function."""
+    if not isinstance(a, SpectralData):
+        raise ValidationError("flow needs SpectralData to exponentiate")
+    if a.n != x.n:
+        raise ShapeMismatch(f"spectral data is {a.n}-dimensional, frame has n={x.n}")
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t}")
+    if config is not None and config.integrator == "rk4":
+        amat = a.matrix()
+        return partial(_rk4_step, lambda m: _field_raw(amat, m))
+    # each exp(dt a) is checked for invertibility once, just before its
+    # first step, so Singular still comes after the rows already yielded
+    g = cache(lambda dt: _invertible(a.exp(dt), x.n))
+    return lambda y, dt: _act_checked(g(dt), y)
 
 
 def flow(a, x, t, config=None):
@@ -213,49 +238,24 @@ def flow(a, x, t, config=None):
 
     a must be SpectralData.  The default (exact) integrator moves by the
     group element exp(t a) in unit-time substeps; the rk4 integrator steps
-    the vector field and re-orthonormalizes after every step.
+    the vector field on the grid of config.step, as flow_path does, and
+    re-orthonormalizes after every step.
     """
-    if not isinstance(a, SpectralData):
-        raise ValidationError("flow needs SpectralData to exponentiate")
-    if a.n != x.n:
-        raise ShapeMismatch(f"spectral data is {a.n}-dimensional, frame has n={x.n}")
-    if config is not None and config.integrator == "rk4":
-        amat = a.matrix()
-        return _advance_rk4(lambda m: _field_raw(amat, m), x, t, config.step, x.kind)
+    advance = _flow_stepper(a, x, t, config)
     if t == 0.0:
         return x
-    nsub = max(1, int(math.ceil(abs(t))))
-    g = _invertible(a.exp(t / nsub), x.n)
-    for _ in range(nsub):
-        x = _act_checked(g, x)
+    rk4 = config is not None and config.integrator == "rk4"
+    step = config.step if rk4 else abs(t) / math.ceil(abs(t))
+    for _, x in _walk(x, t, step, advance):
+        pass
     return x
 
 
 def flow_path(a, x, config):
     """Yield (time, frame) along the flow on the grid of config.step up to
     config.horizon (endpoint included)."""
-    nsteps = int(math.floor(config.horizon / config.step + 1e-9))
-    rem = config.horizon - nsteps * config.step
-    yield 0.0, x
-    if config.integrator == "rk4":
-        amat = a.matrix()
-        fieldfn = lambda m: _field_raw(amat, m)  # noqa: E731
-        for i in range(1, nsteps + 1):
-            x = _advance_rk4(fieldfn, x, config.step, config.step, x.kind)
-            yield i * config.step, x
-        if rem > 1e-12:
-            x = _advance_rk4(fieldfn, x, rem, rem, x.kind)
-            yield config.horizon, x
-        return
-    # each group element is checked for invertibility once, just before its
-    # first step, so Singular still comes after the rows already yielded
-    g = _invertible(a.exp(config.step), x.n)
-    for i in range(1, nsteps + 1):
-        x = _act_checked(g, x)
-        yield i * config.step, x
-    if rem > 1e-12:
-        x = _act_checked(_invertible(a.exp(rem), x.n), x)
-        yield config.horizon, x
+    advance = _flow_stepper(a, x, config.horizon, config)
+    yield from _walk(x, config.horizon, config.step, advance)
 
 
 def quad(a, b, x):
@@ -296,16 +296,8 @@ def gradient_path(a, b, x, config, direction=1):
     if b.k != x.k:
         raise ShapeMismatch(f"{b.k} weights for a frame with k={x.k}")
     bsq = np.asarray(b.values) ** 2
-    fieldfn = lambda m: direction * _grad_raw(amat, bsq, m)  # noqa: E731
-    nsteps = int(math.floor(config.horizon / config.step + 1e-9))
-    rem = config.horizon - nsteps * config.step
-    yield 0.0, x
-    for i in range(1, nsteps + 1):
-        x = _advance_rk4(fieldfn, x, config.step, config.step, x.kind)
-        yield i * config.step, x
-    if rem > 1e-12:
-        x = _advance_rk4(fieldfn, x, rem, rem, x.kind)
-        yield config.horizon, x
+    advance = partial(_rk4_step, lambda m: direction * _grad_raw(amat, bsq, m))
+    yield from _walk(x, config.horizon, config.step, advance)
 
 
 def gradient_flow(a, b, x, config, direction=1):
@@ -410,12 +402,7 @@ def lyapunov_audit(a, h, b, x, config):
     bvec = np.asarray(b.values)
     bsq = bvec**2
     k = x.k
-
-    def hsn(m):
-        return math.sqrt(max(np.vdot(m, m) / k, 0.0))
-
     rows = []
-    last_frame = x
     for t, fr in flow_path(h, x, config):
         m = fr.mat
         weighted = m * bvec
@@ -423,11 +410,10 @@ def lyapunov_audit(a, h, b, x, config):
             AuditRow(
                 t,
                 float(np.vdot(amat @ weighted, weighted)) / k,
-                hsn(_grad_raw(amat, bsq, m)),
-                hsn(_field_raw(hmat, m)),
+                hs_norm(_grad_raw(amat, bsq, m)),
+                hs_norm(_field_raw(hmat, m)),
             )
         )
-        last_frame = fr
     final = rows[-1]
     max_violation = 0.0
     stalls_ok = True
@@ -445,7 +431,7 @@ def lyapunov_audit(a, h, b, x, config):
             flat_run = 0
     converged = None
     if final.field_norm < _STATIONARY_NORM:
-        converged = _nearest_eigenframe_word(a.evecs, last_frame.mat)
+        converged = _nearest_eigenframe_word(a.evecs, fr.mat)
     return AuditReport(
         rows=tuple(rows),
         monotone=max_violation <= _MONOTONE_SLACK,

@@ -332,6 +332,49 @@ def test_rest_point_outputs_golden_bytes(capsys, command, fmt, sp):
     assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN[command, fmt, sp]
 
 
+# sha256 of stdout for (command, format, paired, descend) at plain (3, 2) or
+# paired (2, 1), seed 0, horizon 0.255 (25 steps and a remainder step),
+# recorded before the stepping loops of flows were merged into one walker
+_PATH_GOLDEN = {
+    ("flow", "csv", False, False): "a42c8c9c779a66276b8348e3066133804851904bf33a35a2b7f2678bdfe07edf",
+    ("flow", "json", False, False): "e53d181fe2d01356f52d0848c81f1029fcf260b18db3e9b8e5e10ce497783ef2",
+    ("flow", "csv", True, False): "30ab53db9c35c6fc5d3cdbfa45957b8322be2d118017a147c84e23024d3f7f41",
+    ("flow", "json", True, False): "1d943db4778da68693f50b9c0bf484297164b871c6c437731b1848dfe6b46104",
+    ("gradient-flow", "csv", False, False): "12cce9751b4890eca5bcd2b126aca7a8658d039d33bde68f3457708aa7bd0a04",
+    ("gradient-flow", "csv", False, True): "aabc36660e97e2d98d69830360e94bc42d49b5b8198273b6587cd3d6c6fc15e4",
+    ("gradient-flow", "json", False, False): "cc3004db87e0bb852533cddc907f188b2ad69463ea1901c6c1eadbc3e75de773",
+    ("gradient-flow", "json", False, True): "d0631636896e86973566d9500f80dbe842468fcdfbd5f7bc3e9566a84abb15a0",
+    ("gradient-flow", "csv", True, False): "ac33366e4b32c7c26a4e69efbbf896003797bf08eda68ae6786100844ce22d80",
+    ("gradient-flow", "csv", True, True): "eafc3c4717f228b9ccaf8318efc1dca7ddc265c3915d1aa753c38775b762eaaf",
+    ("gradient-flow", "json", True, False): "39f361afe002568fffa03f9395b0f8dff17bd379772bfd0b4be4fa05b48eb63c",
+    ("gradient-flow", "json", True, True): "d4d342ca3b6636a865439dc925ec52544fea195aa29ae90ce1d75d31c3757af0",
+    ("lyapunov", "csv", False, False): "35f9836d01be6305426dca9e94a9f356bfe524cab813ca52fa87ff59e133c979",
+    ("lyapunov", "json", False, False): "3ef6fa4abcab5b6813f680012d6adbabc4cd9e18bc84fd11fc02eac443b17fbf",
+    ("lyapunov", "csv", True, False): "a9b7111f7c251086864df1c6a69845bd49f5813f8a0353d44d60c9d328c7a111",
+    ("lyapunov", "json", True, False): "3ef6fa4abcab5b6813f680012d6adbabc4cd9e18bc84fd11fc02eac443b17fbf",
+}
+
+
+@pytest.mark.parametrize("command,fmt,sp,descend", sorted(_PATH_GOLDEN))
+def test_path_outputs_golden_bytes(capsys, command, fmt, sp, descend):
+    size = ["--n", "2", "--k", "1", "--symplectic"] if sp else ["--n", "3", "--k", "2"]
+    argv = [command, *size, "--seed", "0", "--horizon", "0.255", "--format", fmt]
+    out = _stdout(capsys, argv + (["--descend"] if descend else []))
+    assert hashlib.sha256(out.encode()).hexdigest() == _PATH_GOLDEN[command, fmt, sp, descend]
+
+
+@pytest.mark.parametrize("command", ["flow", "gradient-flow", "lyapunov"])
+@pytest.mark.parametrize("flags,name", [
+    (["--horizon", "inf"], "horizon"),
+    (["--step", "inf", "--horizon", "inf"], "step"),
+])
+def test_non_finite_times_exit_1(capsys, command, flags, name):
+    assert main([command, "--n", "3", "--k", "1", *flags]) == 1
+    outerr = capsys.readouterr()
+    assert outerr.out == ""
+    assert outerr.err == f"error: {name} must be finite, got inf\n"
+
+
 # ------------------------------------------------------------- config files
 
 

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from frameflow.errors import (
@@ -109,6 +112,10 @@ def test_flow_config_validation():
         FlowConfig(step=2.0, horizon=1.0)
     with pytest.raises(ValidationError):
         FlowConfig(step=0.1, horizon=1.0, integrator="euler")
+    with pytest.raises(ValidationError, match="horizon must be finite"):
+        FlowConfig(step=0.1, horizon=math.inf)
+    with pytest.raises(ValidationError, match="step must be finite"):
+        FlowConfig(step=math.inf, horizon=math.inf)
 
 
 # ------------------------------------------------------------- vector field
@@ -247,6 +254,66 @@ def test_flow_path_singular_step_after_first_row():
     assert t == 0.0 and fr is x
     with pytest.raises(Singular, match="numerically singular"):
         next(path)
+
+
+@pytest.mark.parametrize("t", [0.3, 2.5, 3.0, -1.7])
+def test_flow_exact_is_unit_substeps(t):
+    rng = np.random.default_rng(43)
+    sd = SpectralData(tuple(_descending(rng, 4)), oracles.random_orthogonal(rng, 4))
+    x = want = _random_frame(rng, 4, 2)
+    nsub = math.ceil(abs(t))
+    for _ in range(nsub):
+        want = act(sd.exp(t / nsub), want)
+    assert np.array_equal(flow(sd, x, t).mat, want.mat)
+    assert np.array_equal(flow(sd, x, t, FlowConfig(step=0.1, horizon=1.0)).mat, want.mat)
+
+
+@pytest.mark.parametrize("integrator", ["exact", "rk4"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_flow_rejects_non_finite_time(integrator, t):
+    x = Frame(np.eye(3, 2))
+    cfg = FlowConfig(step=0.1, horizon=1.0, integrator=integrator)
+    with pytest.raises(ValidationError, match="time must be finite"):
+        flow(default_spectral(3), x, t, cfg)
+
+
+@pytest.mark.parametrize("integrator", ["exact", "rk4"])
+def test_flow_path_entry_check_matches_flow(integrator):
+    x = Frame(np.eye(4, 2))
+    cfg = FlowConfig(step=0.1, horizon=1.0, integrator=integrator)
+    for fn in (lambda a: flow(a, x, 1.0, cfg), lambda a: list(flow_path(a, x, cfg))):
+        with pytest.raises(ValidationError, match="SpectralData"):
+            fn(default_spectral(4).matrix())
+        with pytest.raises(ShapeMismatch):
+            fn(default_spectral(5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.01, max_value=0.05),
+    st.integers(min_value=1, max_value=40),
+    st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=0.95)),
+)
+def test_flow_grid_contract(n, k, seed, step, nfull, frac):
+    # nfull full steps, then a remainder step of frac * step when frac > 0
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    sd = SpectralData(tuple(rng.uniform(-1.0, 1.0, n)), oracles.random_orthogonal(rng, n))
+    x = _random_frame(rng, n, k)
+    horizon = nfull * step + frac * step
+    times = [i * step for i in range(nfull + 1)] + ([horizon] if frac else [])
+    assert [t for t, _ in flow_path(sd, x, FlowConfig(step, horizon))] == times
+    cfg = FlowConfig(step, horizon, integrator="rk4")
+    pts = list(flow_path(sd, x, cfg))
+    assert [t for t, _ in pts] == times
+    assert np.array_equal(flow(sd, x, horizon, cfg).mat, pts[-1][1].mat)
+    b = Weights(tuple(np.sort(rng.uniform(0.2, 1.0, k))[::-1]))
+    for direction in (1, -1):
+        last = list(gradient_path(sd, b, x, cfg, direction))[-1][1]
+        assert np.array_equal(gradient_flow(sd, b, x, cfg, direction).mat, last.mat)
 
 
 def test_flow_preserves_unitary_frames():
