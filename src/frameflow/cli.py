@@ -41,7 +41,7 @@ from .morse import (
     perfectness_certificate,
 )
 from .skeleton import _label, build_graph
-from .strata import Tree, dimension, enumerate_irreducible, sample_stratum
+from .strata import Tree, _elements, _irreducible, sample_stratum
 
 __all__ = ["RunConfig", "generate_matrix", "main", "run"]
 
@@ -419,27 +419,31 @@ def _cmd_lyapunov(cfg):
 
 
 def _cmd_strata(cfg):
-    trees = enumerate_irreducible(cfg.n, cfg.k, cfg.symplectic)
-    dims = [dimension(t) for t in trees]
+    rows = _irreducible(cfg.n, cfg.k, cfg.symplectic)
     if cfg.format == "csv":
+        zero, other = f",{cfg.k},true", f",{cfg.k},false"
         lines = ["tree_id,dim,n_nodes,is_zero_dim"]
-        for i, (t, d) in enumerate(zip(trees, dims)):
-            flag = "true" if d == 0 else "false"
-            lines.append(f"{i},{d},{t.k},{flag}")
+        lines += [f"{i},{d}{zero if d == 0 else other}" for i, (_, d) in enumerate(rows)]
         return _csv(lines)
+    # the bytes of json.dumps(..., indent=2), one string per tree
+    n, k, sp = (json.dumps(v) for v in (cfg.n, cfg.k, cfg.symplectic))
+    universe = 2 * cfg.n if cfg.symplectic else cfg.n
+    block = {
+        m: "        [\n" + ",\n".join(f"          {e}" for e in _elements(m)) + "\n        ]"
+        for m in range(1, 1 << universe)
+    }
+    sep = ",\n"
+    start = '    {\n      "tree_id": '
+    mid = f',\n      "n": {n},\n      "k": {k},\n      "symplectic": {sp},\n      "nodes": [\n'
+    end = '\n      ],\n      "dim": '
     docs = [
-        {
-            "tree_id": i,
-            "n": t.n,
-            "k": t.k,
-            "symplectic": t.symplectic,
-            "nodes": [list(s) for s in t.sets],
-            "dim": d,
-        }
-        for i, (t, d) in enumerate(zip(trees, dims))
+        f"{start}{i}{mid}{sep.join([block[m] for m in masks])}{end}{d}\n    }}"
+        for i, (masks, d) in enumerate(rows)
     ]
-    blob = {"n": cfg.n, "k": cfg.k, "symplectic": cfg.symplectic, "trees": docs}
-    return json.dumps(blob, indent=2) + "\n"
+    # never empty: the disjoint singletons {1}, ..., {k} are always a row
+    docs[0] = f'{{\n  "n": {n},\n  "k": {k},\n  "symplectic": {sp},\n  "trees": [\n' + docs[0]
+    docs[-1] += "\n  ]\n}\n"
+    return sep.join(docs)
 
 
 def _cmd_skeleton(cfg):

@@ -1,6 +1,7 @@
 """Core matrix operations: sign-fixed QR, the triangular bracket used by
 QR-style calculus, Hilbert-Schmidt inner products and tangent projections."""
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -133,7 +134,8 @@ def hs_inner(e, f):
 
 
 def hs_norm(e):
-    return float(np.sqrt(max(hs_inner(e, e), 0.0)))
+    m = _as_matrix(e, "e")
+    return math.sqrt(max(float(np.vdot(m, m)) / m.shape[1], 0.0))
 
 
 def proj_tangent_orth(x, b):

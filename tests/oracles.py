@@ -242,3 +242,47 @@ def poly_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return tuple(out)
+
+
+def scan_irreducible(n, k, symplectic=False):
+    """Mask tuples of the irreducible consistent trees with k nodes, found by
+    trying every nonempty mask at every level (levelwise mask-ascending)."""
+    u = 2 * n if symplectic else n
+    low = (1 << n) - 1
+    results = []
+
+    def extend(prefix):
+        # prefix entries are (mask, partner mask, forces)
+        for m in range(1, 1 << u):
+            size = bin(m).count("1")
+            dep = cod = beta = 0
+            ok = True
+            for pm, pc, pforces in prefix:
+                inside = False
+                if pm & m:
+                    if pm | m != m or pforces:
+                        ok = False
+                        break
+                    dep += 1
+                    inside = True
+                if symplectic and pc & m:
+                    if pc | m != m or pforces:
+                        ok = False
+                        break
+                    cod += 1
+                    beta += inside
+            if not ok or dep + cod + 1 > size:
+                continue
+            if symplectic:
+                cm = ((m & low) << n) | (m >> n)
+                forces = 2 * (dep + cod + 1 - beta) == 2 * size - bin(m & cm).count("1")
+            else:
+                cm = 0
+                forces = dep + 1 == size
+            if len(prefix) + 1 == k:
+                results.append(tuple(p[0] for p in prefix) + (m,))
+            else:
+                extend(prefix + [(m, cm, forces)])
+
+    extend([])
+    return results

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +239,34 @@ def test_hs_inner_orthogonal_invariance():
 def test_hs_inner_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         hs_inner(np.eye(3, 2), np.eye(2, 3))
+
+
+def test_hs_norm_bitwise_equals_inner_formula():
+    def bits(x):
+        return struct.pack("<d", x)
+
+    rng = np.random.default_rng(9)
+    cases = []
+    for _ in range(2000):
+        n, k = rng.integers(1, 13), rng.integers(1, 9)
+        scale = 10.0 ** rng.uniform(-150, 150)
+        m = scale * rng.standard_normal((n, k))
+        layout = rng.integers(4)
+        if layout == 1:
+            m = np.asfortranarray(m)
+        elif layout == 2:
+            m = np.repeat(np.repeat(m, 2, axis=0), 2, axis=1)[::2, ::2]
+        elif layout == 3:
+            m = m.T.copy().T
+        cases.append(m)
+    cases += [np.full((3, 2), np.nan), np.full((2, 2), np.inf), np.array([[1.0, -np.inf]]),
+              np.array([[np.nan, np.inf]]), np.full((4, 3), 1e200), np.zeros((2, 1)),
+              np.full((2, 2), -0.0), [[3.0, 4.0]], [[1, 2], [3, 4]]]
+    for m in cases:
+        want = float(np.sqrt(max(hs_inner(m, m), 0.0)))
+        assert bits(hs_norm(m)) == bits(want)
+    with pytest.raises(ShapeMismatch):
+        hs_norm(np.ones(3))
 
 
 # ---------------------------------------------------------------- projections

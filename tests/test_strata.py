@@ -15,6 +15,7 @@ from frameflow.errors import (
 from frameflow.flows import FlowConfig, SpectralData, Weights, flow, gradient_flow
 from frameflow.strata import (
     Tree,
+    _irreducible,
     card,
     codepth,
     constraint_rank_deficiency,
@@ -417,6 +418,29 @@ def test_enumerate_limits():
         enumerate_irreducible(3, 0)
     with pytest.raises(BadSizes):
         enumerate_irreducible(3, 4)
+    for sp in (False, True):  # bad sizes are reported before the cap
+        with pytest.raises(BadSizes):
+            enumerate_irreducible(7, 8, symplectic=sp)
+        with pytest.raises(BadSizes):
+            _irreducible(7, 0, sp)
+
+
+_ORACLE_SIZES = (
+    [(n, k, False) for n in range(1, 6) for k in range(1, n + 1)]
+    + [(6, k, False) for k in range(1, 5)]
+    + [(n, k, True) for n in range(1, 4) for k in range(1, n + 1)]
+    + [(4, k, True) for k in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("n,k,sp", _ORACLE_SIZES)
+def test_irreducible_rows_match_mask_scan(n, k, sp):
+    rows = _irreducible(n, k, sp)
+    want = [(m, dimension(Tree(n, m, sp))) for m in oracles.scan_irreducible(n, k, sp)]
+    assert rows == want
+    for masks, _ in rows:
+        t = Tree(n, masks, sp)
+        assert is_consistent(t) and is_irreducible(t)
 
 
 def test_stratification_axioms_small():
