@@ -199,12 +199,14 @@ def frame_to_json(x):
 def frame_from_json(text):
     try:
         doc = json.loads(text)
-        n = int(doc["n"])
-        k = int(doc["k"])
+        n, k = doc["n"], doc["k"]
         kind = doc["kind"]
         entries = [float(v) for v in doc["entries"]]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed frame document: {exc}") from exc
+    for name, v in (("n", n), ("k", k)):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ValidationError(f"frame document needs a positive integer {name}, got {v!r}")
     if len(entries) != n * k:
         raise ShapeMismatch(f"expected {n * k} entries, got {len(entries)}")
     return Frame(np.array(entries).reshape(n, k), kind)

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .flows import SpectralData, Weights, _retract, default_spectral
 from .frames import KIND_ORTHOGONAL, KIND_UNITARY, Frame
-from .skeleton import Perm, _check_sizes, _conj, _label, _rank, _unused, _words, index_h
+from .skeleton import Perm, _check_sizes, _label, _moves, _rank, _unused, _words, index_h
 
 __all__ = [
     "Certificate",
@@ -129,36 +129,21 @@ def _checked_evals(a, p, reciprocal):
 
 
 def jacobian_spectrum(a, p):
-    """Eigenvalues of the linearized action at the rest point of p.
+    """Eigenvalues of the linearized action at the rest point of p, one per
+    one-dimensional stratum through p, in the family order of skeleton._moves.
 
-    Family order: partner flips (paired case, position-ascending), free
-    replacements (position-major, label-ascending), in-word switches
-    (lexicographic pairs), partner switches (paired case, lexicographic).
-    Each entry is a ratio of eigenvalues of a; the count above one equals
-    the grading of the word whenever the eigenvalues are rank-descending.
+    Each entry is the ratio of the eigenvalues of the labels a move swaps
+    into and out of its first column; the count above one equals the
+    grading of the word whenever the eigenvalues are rank-descending.
     """
     lam = _checked_evals(a, p, reciprocal=True)
-    n, k, word = p.n, p.k, p.word
-    out = []
-    if p.symplectic:
-        out.extend(lam[_conj(v, n) - 1] / lam[v - 1] for v in word)
-    free = _unused(word, n, p.symplectic)
-    for i in range(k):
-        li = lam[word[i] - 1]
-        out.extend(lam[j - 1] / li for j in free)
-    for i in range(k):
-        for j in range(i + 1, k):
-            out.append(lam[word[j] - 1] / lam[word[i] - 1])
-    if p.symplectic:
-        for i in range(k):
-            for j in range(i + 1, k):
-                out.append(lam[_conj(word[j], n) - 1] / lam[word[i] - 1])
-    return tuple(out)
+    word = p.word
+    return tuple(lam[u - 1] / lam[word[i] - 1] for i, u, _, _ in _moves(p))
 
 
 def hessian_spectrum(a, b, p):
     """Eigenvalues of the Hessian of the weighted quadratic energy at the
-    rest point of p, in the same family order as jacobian_spectrum.
+    rest point of p, in the same order as jacobian_spectrum.
 
     The energy averages b_i^2 |A x_i|^2 over columns, so every entry is a
     difference of squared eigenvalues scaled by squared weights.  A partner
@@ -171,33 +156,19 @@ def hessian_spectrum(a, b, p):
         raise ShapeMismatch(f"{b.k} weights cannot scale {p.k} columns")
     if not b.is_strict:
         raise WeightsNotStrict("equal weights flatten the energy along switches")
-    n, k, word = p.n, p.k, p.word
+    word = p.word
     lam2 = [v * v for v in lam]
     b2 = [v * v for v in b.values]
-    scale = 2.0 / k
+    scale = 2.0 / p.k
     out = []
-    if p.symplectic:
-        out.extend(
-            scale * b2[i] * (lam2[_conj(v, n) - 1] - lam2[v - 1])
-            for i, v in enumerate(word)
-        )
-    free = _unused(word, n, p.symplectic)
-    for i in range(k):
-        li = lam2[word[i] - 1]
-        out.extend(scale * b2[i] * (lam2[j - 1] - li) for j in free)
-    for i in range(k):
-        for j in range(i + 1, k):
-            out.append(scale * (b2[i] - b2[j]) * (lam2[word[j] - 1] - lam2[word[i] - 1]))
-    if p.symplectic:
-        for i in range(k):
-            for j in range(i + 1, k):
-                out.append(
-                    scale
-                    * (
-                        b2[i] * (lam2[_conj(word[j], n) - 1] - lam2[word[i] - 1])
-                        + b2[j] * (lam2[_conj(word[i], n) - 1] - lam2[word[j] - 1])
-                    )
-                )
+    for i, u, j, v in _moves(p):
+        gap = lam2[u - 1] - lam2[word[i] - 1]
+        if j < 0:
+            out.append(scale * b2[i] * gap)
+        elif u == word[j]:  # in-word switch
+            out.append(scale * (b2[i] - b2[j]) * gap)
+        else:  # partner switch
+            out.append(scale * (b2[i] * gap + b2[j] * (lam2[v - 1] - lam2[word[j] - 1])))
     return tuple(out)
 
 
@@ -285,49 +256,27 @@ def counting_inverse(p):
 
 def _chart_directions(p):
     """Tangent directions at the rest point of p, one per one-dimensional
-    stratum through it, in the family order of the spectrum functions.
+    stratum through it, in the order of the spectrum functions.
 
     Coordinates are in the eigenvector-label basis; switch directions have
     norm sqrt(2) because they parametrize a rotation of two columns."""
     n, k, word = p.n, p.k, p.word
     amb = 2 * n if p.symplectic else n
     eps = lambda v: 1.0 if v <= n else -1.0
-
-    def single(col, label):
-        t = np.zeros((amb, k))
-        t[label - 1, col] = 1.0
-        return t
-
     dirs = []
-    if p.symplectic:
-        for i, v in enumerate(word):
-            dirs.append(single(i, _conj(v, n)))
-    free = _unused(word, n, p.symplectic)
-    for i in range(k):
-        for j in free:
-            dirs.append(single(i, j))
-    for i in range(k):
-        for j in range(i + 1, k):
-            t = np.zeros((amb, k))
-            t[word[j] - 1, i] = 1.0
-            t[word[i] - 1, j] = -1.0
-            dirs.append(t)
-    if p.symplectic:
-        for i in range(k):
-            for j in range(i + 1, k):
-                cj, ci = _conj(word[j], n), _conj(word[i], n)
-                t = np.zeros((amb, k))
-                t[cj - 1, i] = 1.0
-                # sign keeps the curve inside the isotropic frames
-                t[ci - 1, j] = -eps(word[j]) * eps(ci)
-                dirs.append(t)
+    for i, u, j, v in _moves(p):
+        t = np.zeros((amb, k))
+        t[u - 1, i] = 1.0
+        if j >= 0:
+            # a partner switch's sign keeps the curve inside the isotropic frames
+            t[v - 1, j] = -1.0 if u == word[j] else -eps(word[j]) * eps(v)
+        dirs.append(t)
     return dirs
 
 
 def _numeric_index(a, b, p, step):
     """Count positive second differences of the energy along the chart
-    directions; None entries never occur, a flat direction counts as
-    nonpositive."""
+    directions; a flat direction counts as nonpositive."""
     v = eigenframe(a, p)
     amat2 = (a.evecs * np.square(a.evals)) @ a.evecs.T
     bv = np.asarray(b.values)

@@ -64,8 +64,12 @@ def _label(word):
     return "(" + " ".join(str(v) for v in word) + ")"
 
 
+def _is_size(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_sizes(n, k):
-    if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n:
+    if not _is_size(n) or not _is_size(k) or not 1 <= k <= n:
         raise BadSizes(f"need 1 <= k <= n, got n={n!r}, k={k!r}")
 
 
@@ -98,7 +102,7 @@ class Perm:
     symplectic: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_size(self.n) or self.n < 1:
             raise ValidationError(f"need a positive label count, got {self.n!r}")
         word = tuple(int(v) for v in self.word)
         object.__setattr__(self, "word", word)
@@ -135,25 +139,11 @@ def _check_pair(p, q):
 
 
 def linked(p, q):
-    """Whether two distinct vertices lie on a common one-dimensional stratum.
-
-    That happens exactly when the words differ in one position, or in two
-    positions by switching the entries, or (paired case only) in two
-    positions by switching and partner-flipping both entries.
-    """
+    """Whether two distinct vertices lie on a common one-dimensional stratum,
+    that is, whether one move (a partner flip, a free replacement, an
+    in-word switch or a partner switch) turns p's word into q's."""
     _check_pair(p, q)
-    diff = [i for i in range(p.k) if p.word[i] != q.word[i]]
-    if len(diff) == 1:
-        return True
-    if len(diff) != 2:
-        return False
-    i, j = diff
-    if (q.word[i], q.word[j]) == (p.word[j], p.word[i]):
-        return True
-    if p.symplectic:
-        flipped = (_conj(p.word[j], p.n), _conj(p.word[i], p.n))
-        return (q.word[i], q.word[j]) == flipped
-    return False
+    return any(_apply(p.word, m) == q.word for m in _moves(p))
 
 
 def leads_to(p, q):
@@ -205,29 +195,42 @@ def index_h(p):
     return total
 
 
+def _moves(p):
+    """One-dimensional strata through the vertex p, one move each.
+
+    A move (i, u, j, v) gives column i the label u and, for a switch,
+    column j the label v (j = -1 for a one-column move).  The stratum
+    leaves p when column i rises in rank, and arrives at p otherwise.
+
+    Family order: partner flips (paired case, position-ascending), free
+    replacements (position-major, label-ascending), in-word switches
+    (lexicographic pairs), partner switches (paired case, lexicographic).
+    """
+    n, k, word = p.n, p.k, p.word
+    free = _unused(word, n, p.symplectic)
+    pairs = list(itertools.combinations(range(k), 2))
+    moves = [(i, _conj(v, n), -1, 0) for i, v in enumerate(word)] if p.symplectic else []
+    moves += [(i, u, -1, 0) for i in range(k) for u in free]
+    moves += [(i, word[j], j, word[i]) for i, j in pairs]
+    if p.symplectic:
+        moves += [(i, _conj(word[j], n), j, _conj(word[i], n)) for i, j in pairs]
+    return moves
+
+
+def _apply(word, move):
+    """The word at the far end of a move."""
+    i, u, j, v = move
+    w = list(word)
+    w[i] = u
+    if j >= 0:
+        w[j] = v
+    return tuple(w)
+
+
 def _ascents(p):
     """Words of every vertex one ascending move away from p."""
-    n, k, word = p.n, p.k, p.word
-    out = set()
-    free = _unused(word, n, p.symplectic)
-    for i, v in enumerate(word):
-        rv = _rank(v, n)
-        if p.symplectic and rv < _rank(_conj(v, n), n):
-            out.add(word[:i] + (_conj(v, n),) + word[i + 1 :])
-        for j in free:
-            if rv < _rank(j, n):
-                out.add(word[:i] + (j,) + word[i + 1 :])
-    for i in range(k):
-        for j in range(i + 1, k):
-            if _rank(word[i], n) < _rank(word[j], n):
-                w = list(word)
-                w[i], w[j] = w[j], w[i]
-                out.add(tuple(w))
-            if p.symplectic and _rank(word[i], n) < _rank(_conj(word[j], n), n):
-                w = list(word)
-                w[i], w[j] = _conj(word[j], n), _conj(word[i], n)
-                out.add(tuple(w))
-    return out
+    n, word = p.n, p.word
+    return {_apply(word, m) for m in _moves(p) if _rank(word[m[0]], n) < _rank(m[1], n)}
 
 
 @dataclass(frozen=True)

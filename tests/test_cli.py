@@ -357,12 +357,40 @@ _GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command,fmt,sp", sorted(_GOLDEN))
-def test_rest_point_outputs_golden_bytes(capsys, command, fmt, sp):
-    # (4, 2) plain and (2, 2) paired, seed 0
-    size = ["--n", "2", "--k", "2", "--symplectic"] if sp else ["--n", "4", "--k", "2"]
-    out = _stdout(capsys, [command, *size, "--seed", "0", "--format", fmt])
-    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN[command, fmt, sp]
+# sha256 of stdout with non-default eigenvalues and unequal weights at plain
+# (5, 3) and paired (3, 3), so every Hessian family, the partner switch
+# included, is pinned bit for bit; recorded before the spectra were read
+# off one list of moves
+_SPECTRAL_ARGS = {
+    False: ["--n", "5", "--k", "3", "--eigenvalues", "5 3 2 1.5 0.7"],
+    True: ["--n", "3", "--k", "3", "--symplectic", "--eigenvalues", "4 2 1.5"],
+}
+_SPECTRAL_GOLDEN = {
+    ("morse", "json", False): "63f76947a43be55b70623f6490bacfeb72e24e5ed387b6ad7420742b602fb07c",
+    ("certify", "csv", False): "d0773cf7f513ee9c821d701e1eb6f4e13cebf63484798f061466a0e0dfda9435",
+    ("morse", "json", True): "306b621b35fad820b202a398ecf78529da3ffa7373a347d779528fcc8ffa41eb",
+    ("certify", "csv", True): "ae866c4c0481b15099acd7a839449745535f920504f1dbdaed6f3b42fbf52953",
+}
+_REST_CELLS = [
+    pytest.param(*key, False, id="-".join(map(str, key))) for key in sorted(_GOLDEN)
+] + [
+    pytest.param(*key, True, id="-".join(map(str, key)) + "-spectral")
+    for key in sorted(_SPECTRAL_GOLDEN)
+]
+
+
+@pytest.mark.parametrize("command,fmt,sp,spectral", _REST_CELLS)
+def test_rest_point_outputs_golden_bytes(capsys, command, fmt, sp, spectral):
+    if spectral:
+        argv = _SPECTRAL_ARGS[sp] + ["--weights", "1.5 1 0.25"]
+        golden = _SPECTRAL_GOLDEN
+    else:
+        # (4, 2) plain and (2, 2) paired, seed 0
+        size = ["--n", "2", "--k", "2", "--symplectic"] if sp else ["--n", "4", "--k", "2"]
+        argv = size + ["--seed", "0"]
+        golden = _GOLDEN
+    out = _stdout(capsys, [command, *argv, "--format", fmt])
+    assert hashlib.sha256(out.encode()).hexdigest() == golden[command, fmt, sp]
 
 
 # sha256 of stdout for (command, format, paired, descend) at plain (3, 2) or

@@ -327,6 +327,17 @@ def test_json_rejects_garbage():
         frame_from_json('{"n": 2, "k": 1}')
 
 
+def test_json_rejects_negative_sizes():
+    with pytest.raises(ValidationError, match="positive integer n"):
+        frame_from_json('{"n": -1, "k": -1, "kind": "orthogonal", "entries": [1.0]}')
+
+
+def test_json_rejects_non_integral_sizes():
+    # a fractional size must not be truncated to a smaller frame
+    with pytest.raises(ValidationError, match="positive integer n"):
+        frame_from_json('{"n": 2.9, "k": 1, "kind": "orthogonal", "entries": [1.0, 0.0]}')
+
+
 # ------------------------------------------------------- numerical hygiene
 
 

@@ -1,17 +1,23 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from frameflow.errors import (
+    BadSizes,
     Inconsistent,
     NotLinked,
     ShapeMismatch,
     SizeLimitError,
     ValidationError,
 )
+from frameflow.morse import fixed_points, poincare_poly
 from frameflow.skeleton import (
     Perm,
+    _moves,
+    _rank,
     build_graph,
     index_h,
     leads_to,
@@ -21,7 +27,7 @@ from frameflow.skeleton import (
     singleton_tree,
     tree_bounds,
 )
-from frameflow.strata import Tree, contains, dimension, enumerate_irreducible
+from frameflow.strata import Tree, contains, dimension, enumerate_irreducible, is_consistent
 
 
 def P(n, *word, sp=False):
@@ -50,6 +56,18 @@ def test_perm_validation():
         P(2, 2, 4, sp=True)
     with pytest.raises(ValidationError):
         P(2, 1, 5, sp=True)
+
+
+def test_bool_sizes_rejected():
+    # True is an int, but not a size
+    with pytest.raises(ValidationError):
+        Perm(True, (1,))
+    with pytest.raises(BadSizes):
+        poincare_poly(True, True)
+    with pytest.raises(BadSizes):
+        fixed_points(True, True)
+    with pytest.raises(BadSizes):
+        build_graph(2, True)
 
 
 # ------------------------------------------------------------------- linking
@@ -333,6 +351,37 @@ def test_one_dim_strata_properties():
             assert contains(t, singleton_tree(p))
             assert contains(t, singleton_tree(q))
             assert t.sets == one_dim_strata(q, p).sets
+
+
+@st.composite
+def _vertices(draw):
+    """A word beyond the sizes of the exhaustive tests: plain n <= 8, paired
+    n <= 5, with a partner side drawn per entry."""
+    sp = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=5 if sp else 8))
+    k = draw(st.integers(min_value=1, max_value=n))
+    classes = draw(st.permutations(range(1, n + 1)))[:k]
+    sides = draw(st.lists(st.booleans(), min_size=k, max_size=k)) if sp else [False] * k
+    return Perm(n, tuple(c + n * s for c, s in zip(classes, sides)), symplectic=sp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_vertices())
+def test_moves_are_the_one_dimensional_strata(p):
+    moves = _moves(p)
+    assert len(moves) == poincare_poly(p.n, p.k, p.symplectic).degree
+    rank = lambda v: _rank(v, p.n)
+    assert index_h(p) == sum(1 for i, u, _, _ in moves if rank(u) < rank(p.word[i]))
+    for i, u, j, v in moves:
+        word = list(p.word)
+        word[i] = u
+        if j >= 0:
+            word[j] = v
+        q = Perm(p.n, word, symplectic=p.symplectic)
+        assert linked(p, q)
+        assert leads_to(p, q) == (rank(p.word[i]) < rank(u))
+        t = one_dim_strata(p, q)
+        assert is_consistent(t) and dimension(t) == 1
 
 
 # ----------------------------------------------------------------- bounds
