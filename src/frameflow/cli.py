@@ -8,6 +8,7 @@ configuration reproduces its output byte for byte.  Exit codes: 0 success,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,12 +36,12 @@ from .flows import (
 from .linalg import hs_norm
 from .morse import (
     _REST_COLUMNS,
+    _reports,
     _rest_row,
-    critical_report,
     fixed_points,
     perfectness_certificate,
 )
-from .skeleton import _label, build_graph
+from .skeleton import _json_array, _json_list, _label, build_graph
 from .strata import Tree, _elements, _irreducible, sample_stratum
 
 __all__ = ["RunConfig", "generate_matrix", "main", "run"]
@@ -255,12 +256,18 @@ def _add_flags(sp, descend=False):
         sp.add_argument("--descend", nargs="?", const="true")
 
 
-def _config_from_args(argv):
+@functools.cache
+def _parser():
+    # built once per process: parsing leaves no state on the parser
     parser = _Parser(prog="frameflow")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name in _COMMANDS:
         _add_flags(sub.add_parser(name), descend=name == "gradient-flow")
-    ns = parser.parse_args(argv)
+    return parser
+
+
+def _config_from_args(argv):
+    ns = _parser().parse_args(argv)
     if ns.command is None:
         raise ValidationError("choose a command: " + ", ".join(_COMMANDS))
     raw = {}
@@ -452,9 +459,9 @@ def _cmd_skeleton(cfg):
         return g.to_dot()
     if cfg.format == "json":
         return g.to_json()
+    names = [_label(p.word) for p in g.vertices]
     lines = ["tail,head"]
-    for a, b in g.edges:
-        lines.append(f"{_label(g.vertices[a].word)},{_label(g.vertices[b].word)}")
+    lines.extend(f"{names[a]},{names[b]}" for a, b in g.edges)
     return _csv(lines)
 
 
@@ -462,29 +469,33 @@ def _cmd_morse(cfg):
     a = _spectral(cfg)
     b = _weight_ladder(cfg)
     pts = fixed_points(cfg.n, cfg.k, cfg.symplectic, max_points=cfg.max_vertices)
-    reports = [critical_report(a, b, p) for p in pts]
-    rows = [_rest_row(rep) for rep in reports]
-    if cfg.format == "csv":
-        lines = [",".join(_REST_COLUMNS)]
-        lines.extend(f"{_label(w)},{h},{mi},{above}" for w, h, mi, above in rows)
-        return _csv(lines)
-    points = [
-        {
-            **dict(zip(_REST_COLUMNS, row)),
-            "jacobian_eigs": list(rep.jacobian_eigs),
-            "hessian_eigs": list(rep.hessian_eigs),
-        }
-        for rep, row in zip(reports, rows)
-    ]
-    blob = {
-        "n": cfg.n,
-        "k": cfg.k,
-        "symplectic": cfg.symplectic,
-        "eigenvalues": list(a.evals),
-        "weights": list(b.values),
-        "points": points,
-    }
-    return json.dumps(blob, indent=2) + "\n"
+    reports = _reports(a, b, pts)
+    if cfg.format == "json":
+        return _morse_json(cfg, a, b, reports)
+    lines = [",".join(_REST_COLUMNS)]
+    lines.extend(f"{_label(w)},{h},{mi},{above}" for w, h, mi, above in map(_rest_row, reports))
+    return _csv(lines)
+
+
+def _morse_json(cfg, a, b, reports):
+    """The bytes of json.dumps(..., indent=2) + "\n" of the morse fields,
+    written without the indenting encoder."""
+    points = _json_array(
+        [
+            f'{{\n      "word": {_json_list(w, 3)},\n      "h": {h},'
+            f'\n      "morse_index": {mi},\n      "jacobian_above_one": {above},'
+            f'\n      "jacobian_eigs": {_json_list(rep.jacobian_eigs, 3)},'
+            f'\n      "hessian_eigs": {_json_list(rep.hessian_eigs, 3)}\n    }}'
+            for rep, (w, h, mi, above) in zip(reports, map(_rest_row, reports))
+        ],
+        1,
+    )
+    n, k, sp = (json.dumps(v) for v in (cfg.n, cfg.k, cfg.symplectic))
+    return (
+        f'{{\n  "n": {n},\n  "k": {k},\n  "symplectic": {sp},'
+        f'\n  "eigenvalues": {_json_list(a.evals, 1)},'
+        f'\n  "weights": {_json_list(b.values, 1)},\n  "points": {points}\n}}\n'
+    )
 
 
 def _cmd_certify(cfg):

@@ -82,6 +82,8 @@ def default_spectral(n, symplectic=False):
     The plain scheme has unit determinant; the symplectic scheme pairs each
     of the n leading values with its reciprocal n slots later.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValidationError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError("n must be positive")
     if symplectic:

@@ -24,7 +24,18 @@ from .errors import (
 )
 from .flows import SpectralData, Weights, _retract, default_spectral
 from .frames import KIND_ORTHOGONAL, KIND_UNITARY, Frame
-from .skeleton import Perm, _check_sizes, _label, _moves, _rank, _unused, _words, index_h
+from .skeleton import (
+    Perm,
+    _check_sizes,
+    _json_array,
+    _json_list,
+    _label,
+    _moves,
+    _rank,
+    _unused,
+    _words,
+    index_h,
+)
 
 __all__ = [
     "Certificate",
@@ -128,6 +139,40 @@ def _checked_evals(a, p, reciprocal):
     return a.evals
 
 
+def _checked_weights(b, p):
+    if not isinstance(b, Weights):
+        raise ValidationError("expected Weights")
+    if b.k != p.k:
+        raise ShapeMismatch(f"{b.k} weights cannot scale {p.k} columns")
+    if not b.is_strict:
+        raise WeightsNotStrict("equal weights flatten the energy along switches")
+    return b.values
+
+
+def _squares(vals):
+    return [v * v for v in vals]
+
+
+def _spectra(lam, lam2, b2, p, moves):
+    """Jacobian and Hessian spectra at the rest point of p, one entry per
+    move of moves = skeleton._moves(p); lam2 and b2 hold the squared
+    eigenvalues and weights."""
+    word = p.word
+    scale = 2.0 / p.k
+    jac, hess = [], []
+    for i, u, j, v in moves:
+        out = word[i] - 1
+        jac.append(lam[u - 1] / lam[out])
+        gap = lam2[u - 1] - lam2[out]
+        if j < 0:
+            hess.append(scale * b2[i] * gap)
+        elif u == word[j]:  # in-word switch
+            hess.append(scale * (b2[i] - b2[j]) * gap)
+        else:  # partner switch
+            hess.append(scale * (b2[i] * gap + b2[j] * (lam2[v - 1] - lam2[word[j] - 1])))
+    return tuple(jac), tuple(hess)
+
+
 def jacobian_spectrum(a, p):
     """Eigenvalues of the linearized action at the rest point of p, one per
     one-dimensional stratum through p, in the family order of skeleton._moves.
@@ -137,8 +182,8 @@ def jacobian_spectrum(a, p):
     grading of the word whenever the eigenvalues are rank-descending.
     """
     lam = _checked_evals(a, p, reciprocal=True)
-    word = p.word
-    return tuple(lam[u - 1] / lam[word[i] - 1] for i, u, _, _ in _moves(p))
+    # the Jacobian does not read the weights; unit ones fill the kernel's slot
+    return _spectra(lam, _squares(lam), (1.0,) * p.k, p, _moves(p))[0]
 
 
 def hessian_spectrum(a, b, p):
@@ -150,26 +195,8 @@ def hessian_spectrum(a, b, p):
     switch mixes two column weights; its entry keeps both terms.
     """
     lam = _checked_evals(a, p, reciprocal=False)
-    if not isinstance(b, Weights):
-        raise ValidationError("expected Weights")
-    if b.k != p.k:
-        raise ShapeMismatch(f"{b.k} weights cannot scale {p.k} columns")
-    if not b.is_strict:
-        raise WeightsNotStrict("equal weights flatten the energy along switches")
-    word = p.word
-    lam2 = [v * v for v in lam]
-    b2 = [v * v for v in b.values]
-    scale = 2.0 / p.k
-    out = []
-    for i, u, j, v in _moves(p):
-        gap = lam2[u - 1] - lam2[word[i] - 1]
-        if j < 0:
-            out.append(scale * b2[i] * gap)
-        elif u == word[j]:  # in-word switch
-            out.append(scale * (b2[i] - b2[j]) * gap)
-        else:  # partner switch
-            out.append(scale * (b2[i] * gap + b2[j] * (lam2[v - 1] - lam2[word[j] - 1])))
-    return tuple(out)
+    b2 = _squares(_checked_weights(b, p))
+    return _spectra(lam, _squares(lam), b2, p, _moves(p))[1]
 
 
 @dataclass(frozen=True)
@@ -182,17 +209,24 @@ class CriticalReport:
     morse_index: int
 
 
+def _reports(a, b, pts):
+    """critical_report of every point of pts, words of one (n, k) space.
+    The checks read only the sizes of a word, so they run once, against
+    the first point, in critical_report's order."""
+    lam = _checked_evals(a, pts[0], reciprocal=True)
+    b2 = _squares(_checked_weights(b, pts[0]))
+    lam2 = _squares(lam)
+    out = []
+    for p in pts:
+        jac, hess = _spectra(lam, lam2, b2, p, _moves(p))
+        out.append(CriticalReport(p, jac, hess, sum(1 for v in hess if v > 0.0)))
+    return tuple(out)
+
+
 def critical_report(a, b, p):
     """Spectra and index of the rest point of p; the index counts positive
     Hessian eigenvalues."""
-    jac = jacobian_spectrum(a, p)
-    hess = hessian_spectrum(a, b, p)
-    return CriticalReport(
-        perm=p,
-        jacobian_eigs=jac,
-        hessian_eigs=hess,
-        morse_index=sum(1 for v in hess if v > 0.0),
-    )
+    return _reports(a, b, (p,))[0]
 
 
 def poincare_poly(n, k, symplectic=False):
@@ -339,16 +373,27 @@ class Certificate:
             object.__setattr__(self, "_rows", _certificate_rows(self.reports, self.numeric))
 
     def to_json(self):
-        blob = {
-            "n": self.n,
-            "k": self.k,
-            "symplectic": self.symplectic,
-            "morse_coeffs": list(self.morse.coeffs),
-            "poincare_coeffs": list(self.poincare.coeffs),
-            "match": self.match,
-            "per_point": [dict(zip(_CERT_COLUMNS, row)) for row in self._rows],
-        }
-        return json.dumps(blob, indent=2, sort_keys=True) + "\n"
+        """The bytes of json.dumps(..., indent=2, sort_keys=True) + "\n" of
+        the certificate, written without the indenting encoder."""
+        n, k, sp, match = (json.dumps(v) for v in (self.n, self.k, self.symplectic, self.match))
+        points = _json_array(
+            [
+                f'{{\n      "h": {h},\n      "jacobian_above_one": {above},'
+                f'\n      "morse_index": {mi},'
+                f'\n      "numeric_index": {"null" if num is None else num},'
+                f'\n      "ok": {"true" if ok else "false"},'
+                f'\n      "word": {_json_list(word, 3)}\n    }}'
+                for word, h, mi, above, num, ok in self._rows
+            ],
+            1,
+        )
+        return (
+            f'{{\n  "k": {k},\n  "match": {match},'
+            f'\n  "morse_coeffs": {_json_list(self.morse.coeffs, 1)},'
+            f'\n  "n": {n},\n  "per_point": {points},'
+            f'\n  "poincare_coeffs": {_json_list(self.poincare.coeffs, 1)},'
+            f'\n  "symplectic": {sp}\n}}\n'
+        )
 
     def csv_lines(self):
         lines = [",".join(_CERT_COLUMNS)]
@@ -380,7 +425,7 @@ def perfectness_certificate(
     b = Weights(tuple((k - i) / k for i in range(k))) if weights is None else weights
     if numeric is None:
         numeric = n <= 2 if symplectic else n <= 4
-    reports = tuple(critical_report(a, b, p) for p in pts)
+    reports = _reports(a, b, pts)
     nums = tuple(_numeric_index(a, b, p, step) for p in pts) if numeric else None
     rows = _certificate_rows(reports, nums)
     morse = _histogram((row[1] for row in rows), n, k, symplectic)

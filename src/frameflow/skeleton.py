@@ -25,7 +25,7 @@ from .errors import (
     SizeLimit,
     ValidationError,
 )
-from .strata import Tree, is_consistent
+from .strata import Tree, _is_size, is_consistent
 
 __all__ = [
     "Perm",
@@ -61,11 +61,31 @@ def _unused(word, n, symplectic):
 
 def _label(word):
     """Name of a word in the CSV and DOT outputs, e.g. "(1 2)"."""
-    return "(" + " ".join(str(v) for v in word) + ")"
+    return "(" + " ".join(map(str, word)) + ")"
 
 
-def _is_size(v):
-    return isinstance(v, int) and not isinstance(v, bool)
+def _json_array(items, depth):
+    """The layout json.dumps(..., indent=2) gives a list whose items are
+    already encoded, its bracket opening depth levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def _json_list(values, depth):
+    """The text json.dumps(list(values), indent=2) gives for a list of
+    numbers whose bracket opens depth levels deep."""
+    text = _json_array([*map(repr, values)], depth)
+    # repr is the encoder's rule for plain ints and finite floats, and the
+    # repr of every non-finite float holds an "n"; anything else goes
+    # through the encoder, its lines shifted to the depth
+    if "n" in text or not _PLAIN_NUMBERS.issuperset(map(type, values)):
+        text = json.dumps(list(values), indent=2).replace("\n", "\n" + "  " * depth)
+    return text
 
 
 def _check_sizes(n, k):
@@ -256,15 +276,15 @@ class SkeletonGraph:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
-        blob = {
-            "n": self.n,
-            "k": self.k,
-            "symplectic": self.symplectic,
-            "vertices": [list(p.word) for p in self.vertices],
-            "edges": [list(e) for e in self.edges],
-            "index": list(self.h),
-        }
-        return json.dumps(blob, indent=2, sort_keys=True) + "\n"
+        """The bytes of json.dumps(..., indent=2, sort_keys=True) + "\n" of
+        the graph's fields, written without the indenting encoder."""
+        n, k, sp = (json.dumps(v) for v in (self.n, self.k, self.symplectic))
+        edges = _json_array([_json_list(e, 2) for e in self.edges], 1)
+        words = _json_array([_json_list(p.word, 2) for p in self.vertices], 1)
+        return (
+            f'{{\n  "edges": {edges},\n  "index": {_json_list(self.h, 1)},\n  "k": {k},'
+            f'\n  "n": {n},\n  "symplectic": {sp},\n  "vertices": {words}\n}}\n'
+        )
 
 
 def build_graph(n, k, symplectic=False, max_vertices=100000):

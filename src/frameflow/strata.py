@@ -21,6 +21,10 @@ from .frames import KIND_ORTHOGONAL, KIND_UNITARY, Frame
 from .linalg import symplectic_j
 
 
+def _is_size(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _subset(a, b):
     return a | b == b
 
@@ -50,6 +54,8 @@ class Tree:
     symplectic: bool = False
 
     def __post_init__(self):
+        if not _is_size(self.n):
+            raise ValidationError(f"ground size must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValidationError(f"ground size must be positive, got {self.n}")
         u = 2 * self.n if self.symplectic else self.n
@@ -415,8 +421,8 @@ def _irreducible(n, k, symplectic=False):
     components that hold a saturating node.  A component holding h blocks
     adds h to the depth plus codepth of any node that takes it.
     """
-    if not 1 <= k <= n:
-        raise BadSizes(f"need 1 <= k <= n, got k={k}, n={n}")
+    if not _is_size(n) or not _is_size(k) or not 1 <= k <= n:
+        raise BadSizes(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
     cap = _ENUM_MAX_N_SYMPLECTIC if symplectic else _ENUM_MAX_N
     if n > cap:
         raise SizeLimit(f"enumeration limited to n <= {cap}")

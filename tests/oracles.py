@@ -6,6 +6,8 @@ least-squares null-space projections instead of closed forms, brute-force
 poset searches instead of recursions) so that agreement is meaningful.
 """
 
+import json
+
 import numpy as np
 import scipy.linalg
 
@@ -286,3 +288,64 @@ def scan_irreducible(n, k, symplectic=False):
 
     extend([])
     return results
+
+
+# ------------------------------------------------ rest-point JSON, by dicts
+#
+# The three rest-point JSON outputs as they were written before their
+# direct writers: a dict per document, rendered by json.dumps with indent=2
+# (which runs the pure-Python encoder).
+
+
+def skeleton_json(g):
+    """SkeletonGraph.to_json of g."""
+    blob = {
+        "n": g.n,
+        "k": g.k,
+        "symplectic": g.symplectic,
+        "vertices": [list(p.word) for p in g.vertices],
+        "edges": [list(e) for e in g.edges],
+        "index": list(g.h),
+    }
+    return json.dumps(blob, indent=2, sort_keys=True) + "\n"
+
+
+def certificate_json(cert):
+    """Certificate.to_json of cert; its rows are (word, h, morse_index,
+    jacobian_above_one, numeric_index, ok)."""
+    cols = ("word", "h", "morse_index", "jacobian_above_one", "numeric_index", "ok")
+    blob = {
+        "n": cert.n,
+        "k": cert.k,
+        "symplectic": cert.symplectic,
+        "morse_coeffs": list(cert.morse.coeffs),
+        "poincare_coeffs": list(cert.poincare.coeffs),
+        "match": cert.match,
+        "per_point": [dict(zip(cols, row)) for row in cert._rows],
+    }
+    return json.dumps(blob, indent=2, sort_keys=True) + "\n"
+
+
+def morse_json(n, k, symplectic, evals, weights, reports, grades):
+    """The morse command's JSON for critical reports of the words in order,
+    with grades[i] the grading of the i-th word."""
+    points = [
+        {
+            "word": rep.perm.word,
+            "h": h,
+            "morse_index": rep.morse_index,
+            "jacobian_above_one": sum(1 for v in rep.jacobian_eigs if v > 1.0),
+            "jacobian_eigs": list(rep.jacobian_eigs),
+            "hessian_eigs": list(rep.hessian_eigs),
+        }
+        for rep, h in zip(reports, grades)
+    ]
+    blob = {
+        "n": n,
+        "k": k,
+        "symplectic": symplectic,
+        "eigenvalues": list(evals),
+        "weights": list(weights),
+        "points": points,
+    }
+    return json.dumps(blob, indent=2) + "\n"

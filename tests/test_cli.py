@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -6,9 +8,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frameflow.cli import RunConfig, generate_matrix, main, run
+import oracles
+from frameflow import cli
+from frameflow.cli import RunConfig, _morse_json, generate_matrix, main, run
 from frameflow.errors import NonPositiveEigenvalue, ValidationError
+from frameflow.flows import SpectralData, Weights
+from frameflow.morse import _reports, critical_report, fixed_points, perfectness_certificate
+from frameflow.skeleton import build_graph, index_h
 from frameflow.strata import Tree
 
 
@@ -371,26 +380,114 @@ _SPECTRAL_GOLDEN = {
     ("morse", "json", True): "306b621b35fad820b202a398ecf78529da3ffa7373a347d779528fcc8ffa41eb",
     ("certify", "csv", True): "ae866c4c0481b15099acd7a839449745535f920504f1dbdaed6f3b42fbf52953",
 }
+# sha256 of stdout at the larger plain (6, 4) and paired (3, 3), seed 0, and
+# at plain (3, 2) with eigenvalues whose squares overflow, so the outputs
+# carry 0.0, 1e-300, 1e+300, Infinity, -Infinity and NaN; recorded before
+# the rest-point JSON was written without json.dumps
+_LARGE_GOLDEN = {
+    ("skeleton", "json", False): "705fcbbbc23e073e6993ae13471e7ae9f82aa80d8cb3843a479e70baff0eb9b2",
+    ("skeleton", "dot", False): "213339c3ae3f5cb2d659a603bdb2e6453ad2bf9f6b929606ba3b4812fcd221af",
+    ("morse", "json", False): "a3895e70b286b8fa85ad04caca7a408301e17df5e36a2fd50b6c1b97a2538420",
+    ("certify", "json", False): "9735b380ee9fb21240c6a3919aacfd74602fc601f41c357709dad016b179012c",
+    ("skeleton", "json", True): "68778628c160d8e785cc8338a8f68307378e0a0bcad2cd8ffa0bc35a39b59e30",
+    ("skeleton", "dot", True): "119cc8d04381927a42dcc3d1205597608cd1623f5ce28c8b6018750333b7feda",
+    ("morse", "json", True): "744af6ad26376f4c8be2d8dfd2d6486e289cb4c29564406b8e0f342b583b3a0a",
+    ("certify", "json", True): "dc721fd8ee11cc8de52fb5b0f4494efe63da8d70aa8512f91f6b5a74b8b8a9f2",
+}
+_OVERFLOW_GOLDEN = {
+    ("morse", "json", False): "ccbfaf874a374813a3c1f8439d362b149e5155d606a1cf1d833aafe469c1ecd3",
+    ("certify", "json", False): "409ce46862f5f6b32a8dfbb72483c4939495729ff9864a91a0dc8016213f452f",
+}
+_REST_GOLDEN = {
+    "": _GOLDEN,
+    "spectral": _SPECTRAL_GOLDEN,
+    "large": _LARGE_GOLDEN,
+    "overflow": _OVERFLOW_GOLDEN,
+}
 _REST_CELLS = [
-    pytest.param(*key, False, id="-".join(map(str, key))) for key in sorted(_GOLDEN)
-] + [
-    pytest.param(*key, True, id="-".join(map(str, key)) + "-spectral")
-    for key in sorted(_SPECTRAL_GOLDEN)
+    pytest.param(*key, variant, id="-".join(map(str, key)) + (f"-{variant}" if variant else ""))
+    for variant, golden in _REST_GOLDEN.items()
+    for key in sorted(golden)
 ]
 
 
-@pytest.mark.parametrize("command,fmt,sp,spectral", _REST_CELLS)
-def test_rest_point_outputs_golden_bytes(capsys, command, fmt, sp, spectral):
-    if spectral:
-        argv = _SPECTRAL_ARGS[sp] + ["--weights", "1.5 1 0.25"]
-        golden = _SPECTRAL_GOLDEN
+def _rest_argv(sp, variant):
+    if variant == "spectral":
+        return _SPECTRAL_ARGS[sp] + ["--weights", "1.5 1 0.25"]
+    if variant == "overflow":
+        return ["--n", "3", "--k", "2", "--eigenvalues", "1e300 1 1e-300"]
+    if variant == "large":
+        size = ["--n", "3", "--k", "3", "--symplectic"] if sp else ["--n", "6", "--k", "4"]
     else:
-        # (4, 2) plain and (2, 2) paired, seed 0
+        # (4, 2) plain and (2, 2) paired
         size = ["--n", "2", "--k", "2", "--symplectic"] if sp else ["--n", "4", "--k", "2"]
-        argv = size + ["--seed", "0"]
-        golden = _GOLDEN
-    out = _stdout(capsys, [command, *argv, "--format", fmt])
-    assert hashlib.sha256(out.encode()).hexdigest() == golden[command, fmt, sp]
+    return size + ["--seed", "0"]
+
+
+@pytest.mark.parametrize("command,fmt,sp,variant", _REST_CELLS)
+def test_rest_point_outputs_golden_bytes(capsys, command, fmt, sp, variant):
+    argv = [command, *_rest_argv(sp, variant), "--format", fmt]
+    if (command, variant) == ("certify", "overflow"):
+        # the finite-difference index check squares the eigenvalues with
+        # numpy, which warns on the overflow; the command line prints the
+        # warnings on stderr
+        with pytest.warns(RuntimeWarning):
+            out = _stdout(capsys, argv)
+    else:
+        out = _stdout(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == _REST_GOLDEN[variant][command, fmt, sp]
+
+
+@st.composite
+def _rest_inputs(draw):
+    """(n, k, paired, spectral data, weights, seeded): a seeded spectrum, or
+    powers of ten up to 1e300 whose squares overflow to inf, so the spectra
+    carry inf and, where two infinite squares meet, NaN."""
+    sp = draw(st.booleans())
+    n = draw(st.integers(1, 3 if sp else 6))
+    k = draw(st.integers(1, n))
+    seeded = draw(st.booleans())
+    if seeded:
+        a = generate_matrix(draw(st.integers(0, 2**31 - 1)), sp, n=n)
+    elif sp:
+        # reciprocals below 1e-10 would break the simple gap, so one at most
+        big = draw(st.integers(1, 300))
+        rest = draw(st.lists(st.integers(1, 9).filter(lambda e: e != big),
+                             min_size=n - 1, max_size=n - 1, unique=True))
+        lead = [10.0**e for e in [big, *rest]]
+        a = SpectralData(tuple(lead) + tuple(1.0 / v for v in lead), np.eye(2 * n))
+    else:
+        exps = draw(st.lists(st.integers(-1, 300), min_size=n, max_size=n, unique=True))
+        vals = [10.0**e for e in exps]
+        if draw(st.booleans()):
+            vals[draw(st.integers(0, n - 1))] = 1e-300
+        a = SpectralData(tuple(vals), np.eye(n))
+    exps = draw(st.lists(st.integers(-2, 200), min_size=k, max_size=k, unique=True))
+    b = Weights(tuple(10.0**e for e in sorted(exps, reverse=True)))
+    return n, k, sp, a, b, seeded
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rest_inputs())
+def test_direct_json_writers_match_json_dumps(case):
+    n, k, sp, a, b, seeded = case
+    pts = fixed_points(n, k, sp)
+    reports = tuple(critical_report(a, b, p) for p in pts)
+    # the one-pass reports are the per-point ones, NaN included
+    assert repr(_reports(a, b, pts)) == repr(reports)
+    cfg = RunConfig(command="morse", n=n, k=k, symplectic=sp, format="json")
+    want = oracles.morse_json(n, k, sp, a.evals, b.values, reports, map(index_h, pts))
+    assert _morse_json(cfg, a, b, reports) == want
+    g = build_graph(n, k, sp)
+    assert g.to_json() == oracles.skeleton_json(g)
+    # the finite-difference index squares eigenvalues and weights with numpy,
+    # which warns on overflow, so it runs on the seeded spectra and the
+    # default weights only
+    if seeded and n <= (2 if sp else 3):
+        cert = perfectness_certificate(n, k, sp, spectral=a, numeric=True)
+    else:
+        cert = perfectness_certificate(n, k, sp, spectral=a, weights=b, numeric=False)
+    assert cert.to_json() == oracles.certificate_json(cert)
 
 
 # sha256 of stdout for (command, format, paired, descend) at plain (3, 2) or
@@ -460,6 +557,50 @@ def test_config_file_merge_and_override(tmp_path):
     bad.write_text("n = 4\nglitter = on\n")
     assert main(["skeleton", "--config", str(bad), "--k", "2"]) == 1
     assert main(["skeleton", "--config", str(tmp_path / "missing.cfg")]) == 1
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_reuse_matches_fresh_parser(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n = 3\nk = 2\nformat = json\n")
+    flow = ["--n", "2", "--k", "1", "--horizon", "0.05"]
+    sequence = [
+        ["flow", "--n", "3", "--k", "2", "--bogus"],
+        ["flow", *flow],
+        ["skeleton", "--k", "2"],
+        ["skeleton", "--config", str(cfgfile)],
+        ["gradient-flow", *flow, "--descend"],
+        ["flow", *flow, "--descend"],  # --descend is a gradient-flow flag only
+        ["flow", *flow],
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(_call(argv))
+    reused = [_call(argv) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 1, 0, 0, 1, 0]
+    assert reused[0][2] == "error: unrecognized arguments: --bogus\n"
+    assert reused[2][2] == "error: skeleton needs --n and --k\n"
+    assert reused[5][2] == "error: unrecognized arguments: --descend\n"
+
+
+def test_small_job_fixed_cost(capsys):
+    # the parser is built once per process; rebuilding it took about 3.7 ms
+    # a call (0.37 s here) on a 2-vCPU x86-64
+    main(["strata", "--n", "2", "--k", "1"])
+    start = time.perf_counter()
+    for _ in range(100):
+        main(["strata", "--n", "2", "--k", "1"])
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out.count("tree_id") == 101
+    assert elapsed < 0.2, f"100 small strata jobs took {elapsed:.3f}s of 0.2s"
 
 
 def test_run_writes_stdout(capsys):

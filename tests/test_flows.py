@@ -92,6 +92,13 @@ def test_default_spectral_symplectic():
     assert sd.evals[3] == pytest.approx(1.0 / sd.evals[1])
 
 
+@pytest.mark.parametrize("n", [True, False, 2.5, "3", None])
+@pytest.mark.parametrize("sp", [False, True])
+def test_default_spectral_rejects_non_integer_n(n, sp):
+    with pytest.raises(ValidationError):
+        default_spectral(n, symplectic=sp)
+
+
 def test_weights_validation():
     b = Weights((2.0, 1.0, 0.5))
     assert b.is_strict and b.k == 3

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from frameflow.errors import (
 from frameflow.morse import fixed_points, poincare_poly
 from frameflow.skeleton import (
     Perm,
+    _json_list,
     _moves,
     _rank,
     build_graph,
@@ -323,6 +325,27 @@ def test_dot_and_json_exports():
     assert len(blob["edges"]) == len(g.edges)
     assert blob["index"] == list(g.h)
     assert blob["vertices"][0] == [1, 2]
+
+
+_JSON_SCALARS = st.one_of(
+    st.integers(),
+    st.floats(),  # NaN and both infinities included
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False).map(np.float64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_JSON_SCALARS, max_size=6), st.integers(0, 4))
+def test_json_list_is_the_encoders_indented_list(values, depth):
+    nested = values
+    for _ in range(depth):
+        nested = [nested]
+    opening = "".join("  " * i + "[\n" for i in range(depth))
+    closing = "".join("\n" + "  " * i + "]" for i in reversed(range(depth)))
+    text = opening + "  " * depth + _json_list(tuple(values), depth) + closing
+    assert text == json.dumps(nested, indent=2)
 
 
 # ------------------------------------------------------- one-dim connections

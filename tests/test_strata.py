@@ -68,6 +68,12 @@ def test_tree_rejects_bad_nodes():
         Tree(2, [{5}], symplectic=True)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+def test_tree_rejects_non_integer_label_count(n):
+    with pytest.raises(ValidationError):
+        Tree(n, [{1}])
+
+
 def test_tree_rejects_overlap_without_nesting():
     with pytest.raises(ValidationError):
         Tree(3, [{1, 2}, {2, 3}])
@@ -423,6 +429,15 @@ def test_enumerate_limits():
             enumerate_irreducible(7, 8, symplectic=sp)
         with pytest.raises(BadSizes):
             _irreducible(7, 0, sp)
+
+
+@pytest.mark.parametrize("n,k", [(True, True), (True, 1), (3, True), (2.0, 1), (3, 1.0)])
+@pytest.mark.parametrize("sp", [False, True])
+def test_enumerate_rejects_non_integer_sizes(n, k, sp):
+    with pytest.raises(BadSizes):
+        enumerate_irreducible(n, k, symplectic=sp)
+    with pytest.raises(BadSizes):
+        _irreducible(n, k, sp)
 
 
 _ORACLE_SIZES = (
