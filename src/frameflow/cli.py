@@ -26,11 +26,9 @@ from .flows import (
     FlowConfig,
     SpectralData,
     Weights,
+    _gradient_rows,
     flow_path,
-    gradient_path,
     lyapunov_audit,
-    quad,
-    quad_gradient,
     vector_field,
 )
 from .linalg import hs_norm
@@ -286,10 +284,6 @@ def _config_from_args(argv):
 # ----------------------------------------------------------------- execution
 
 
-def _fmt(v):
-    return f"{v:.17g}"
-
-
 def _csv(lines):
     return "\n".join(lines) + "\n"
 
@@ -333,49 +327,49 @@ def _generator(a, symplectic):
     return SpectralData(logs + tuple(-v for v in logs), a.evecs)
 
 
+def _json_num(v):
+    """json.dumps(v) for a number: its repr, which is the encoder's rule for
+    ints and finite floats, else (NaN, Infinity) the encoder itself."""
+    text = repr(v)
+    return json.dumps(v) if "n" in text else text
+
+
 def _path_text(cfg, a, samples, value_cols, meta):
     """Shared serialization for the two path commands.  samples is a list of
-    (t, frame, extras-dict in value_cols order)."""
-    amb = samples[0][1].n
-    k = samples[0][1].k
+    (t, frame matrix, values in value_cols order, stationary); meta holds
+    the command's own top-level fields.  JSON is written directly as the
+    bytes of json.dumps(doc, indent=2) + "\n" of the whole document."""
     if cfg.format == "csv":
-        header = (
-            "t,"
-            + ",".join(value_cols)
-            + ",stationary,"
-            + ",".join(f"x_{r}_{c}" for r in range(amb) for c in range(k))
+        amb, k = samples[0][1].shape
+        fmt = "{:.17g}".format
+        cols = [f"x_{r}_{c}" for r in range(amb) for c in range(k)]
+        lines = [",".join(["t", *value_cols, "stationary", *cols])]
+        lines.extend(
+            ",".join([fmt(t), *map(fmt, vals), "true" if still else "false",
+                      *map(fmt, mat.ravel().tolist())])
+            for t, mat, vals, still in samples
         )
-        lines = [header]
-        for t, fr, extras in samples:
-            cells = [_fmt(t)]
-            cells.extend(_fmt(extras[c]) for c in value_cols)
-            cells.append("true" if extras["_stationary"] else "false")
-            cells.extend(_fmt(v) for v in fr.mat.ravel())
-            lines.append(",".join(cells))
         return _csv(lines)
-    doc = {
-        "command": cfg.command,
-        "n": cfg.n,
-        "k": cfg.k,
-        "symplectic": cfg.symplectic,
-        "seed": cfg.seed,
-        "eigenvalues": list(a.evals),
-        "step": cfg.step,
-        "horizon": cfg.horizon,
-        "tolerance": cfg.tolerance,
-        **meta,
-        "settled": samples[-1][2]["_stationary"],
-        "rows": [
-            {
-                "t": t,
-                **{c: extras[c] for c in value_cols},
-                "stationary": extras["_stationary"],
-                "entries": fr.mat.tolist(),
-            }
-            for t, fr, extras in samples
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    keys = [f',\n      "{c}": ' for c in value_cols]
+    rows = [
+        f'{{\n      "t": {_json_num(t)}'
+        + "".join(key + _json_num(v) for key, v in zip(keys, vals))
+        + f',\n      "stationary": {"true" if still else "false"},\n      "entries": '
+        + _json_array([_json_list(r, 4) for r in mat.tolist()], 3)
+        + "\n    }"
+        for t, mat, vals, still in samples
+    ]
+    dumps = json.dumps
+    extra = "".join(f',\n  "{key}": ' + dumps(v, indent=2).replace("\n", "\n  ")
+                    for key, v in meta.items())
+    return (
+        f'{{\n  "command": {dumps(cfg.command)},\n  "n": {dumps(cfg.n)},'
+        f'\n  "k": {dumps(cfg.k)},\n  "symplectic": {dumps(cfg.symplectic)},'
+        f'\n  "seed": {dumps(cfg.seed)},\n  "eigenvalues": {_json_list(a.evals, 1)},'
+        f'\n  "step": {dumps(cfg.step)},\n  "horizon": {dumps(cfg.horizon)},'
+        f'\n  "tolerance": {dumps(cfg.tolerance)}{extra},'
+        f'\n  "settled": {dumps(samples[-1][3])},\n  "rows": {_json_array(rows, 1)}\n}}\n'
+    )
 
 
 def _cmd_flow(cfg):
@@ -386,7 +380,7 @@ def _cmd_flow(cfg):
     samples = []
     for t, fr in flow_path(gen, x, FlowConfig(step=cfg.step, horizon=cfg.horizon)):
         fn = hs_norm(vector_field(gmat, fr))
-        samples.append((t, fr, {"field_norm": fn, "_stationary": fn < cfg.tolerance}))
+        samples.append((t, fr.mat, (fn,), fn < cfg.tolerance))
     return _path_text(cfg, a, samples, ["field_norm"], {})
 
 
@@ -395,21 +389,16 @@ def _cmd_gradient_flow(cfg):
     b = _weight_ladder(cfg)
     x = _start_frame(cfg, a)
     direction = -1 if cfg.descend else 1
+    # quad(a, b, fr) with a's matrix and the weights built once; g's sign
+    # (the direction) leaves the bits of hs_norm(quad_gradient(a, b, fr))
+    amat, w = a.matrix(), np.asarray(b.values)
     samples = []
-    path = gradient_path(a, b, x, FlowConfig(step=cfg.step, horizon=cfg.horizon), direction)
-    for t, fr in path:
-        gn = hs_norm(quad_gradient(a, b, fr))
-        samples.append(
-            (
-                t,
-                fr,
-                {
-                    "value": quad(a, b, fr),
-                    "grad_norm": gn,
-                    "_stationary": gn < cfg.tolerance,
-                },
-            )
-        )
+    config = FlowConfig(step=cfg.step, horizon=cfg.horizon)
+    for t, fr, g in _gradient_rows(a, b, x, config, direction):
+        m = fr.mat * w
+        gn = hs_norm(g)
+        value = float(np.vdot(amat @ m, m)) / fr.k
+        samples.append((t, fr.mat, (value, gn), gn < cfg.tolerance))
     meta = {"weights": list(b.values), "direction": direction}
     return _path_text(cfg, a, samples, ["value", "grad_norm"], meta)
 

@@ -1,5 +1,9 @@
 """One-parameter QR flows, weighted quadratic energies, their gradients,
-and the Lyapunov audit that certifies monotonicity along a companion flow."""
+and the Lyapunov audit that certifies monotonicity along a companion flow.
+
+The gradient reported with each row of a gradient path is the first RK4
+stage of the step that leaves the row, so each row costs one evaluation of
+the gradient field, not two."""
 
 import json
 import math
@@ -19,7 +23,7 @@ from .errors import (
     WeightsNotStrict,
 )
 from .frames import KIND_UNITARY, Frame, _act_checked, _invertible
-from .linalg import hs_norm, qr_positive, symplectic_j, tri_left
+from .linalg import _j, hs_norm, qr_positive, tri_left
 
 _SIMPLE_GAP = 1e-10
 _MONOTONE_SLACK = 1e-10
@@ -167,7 +171,7 @@ def _iso_orthonormalize(m):
     # skew-form partners; restores an isotropic orthonormal tuple.
     m = np.array(m, dtype=float)
     n2, k = m.shape
-    j = symplectic_j(n2 // 2)
+    j = _j(n2 // 2)
     q = np.zeros_like(m)
     for i in range(k):
         w = m[:, i].copy()
@@ -205,14 +209,17 @@ def _walk(x, total, step, advance):
         yield total, x
 
 
-def _rk4_step(fieldfn, x, dt):
+def _rk4_step(fieldfn, x, dt, k1=None):
+    """One RK4 step and retract; k1, when given, is fieldfn(x.mat)."""
     m = x.mat
-    k1 = fieldfn(m)
+    if k1 is None:
+        k1 = fieldfn(m)
     k2 = fieldfn(m + 0.5 * dt * k1)
     k3 = fieldfn(m + 0.5 * dt * k2)
     k4 = fieldfn(m + dt * k3)
     m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    drift = np.abs(np.linalg.norm(m, axis=0) - 1.0).max()
+    # the bits of np.linalg.norm(m, axis=0) without its wrapper
+    drift = np.abs(np.sqrt(np.add.reduce(m * m, axis=0)) - 1.0).max()
     if drift > _DRIFT_LIMIT:
         raise Divergence(f"column norms drifted by {drift:.3e}; reduce the step")
     return Frame(_retract(m, x.kind), x.kind)
@@ -289,17 +296,33 @@ def quad_gradient(a, b, x):
     return _grad_raw(amat, bsq, x.mat)
 
 
-def gradient_path(a, b, x, config, direction=1):
-    """Yield (time, frame) along the RK4-integrated gradient flow of the
-    weighted energy.  direction=+1 ascends, -1 descends."""
+def _gradient_rows(a, b, x, config, direction):
+    """Yield (time, frame, g) along gradient_path, where g is direction
+    times the gradient at the frame: the first RK4 stage of the next step,
+    which that step takes instead of evaluating the field again."""
     if direction not in (1, -1):
         raise ValidationError(f"direction must be +1 or -1, got {direction}")
     amat = _as_sym(a, x.n)
     if b.k != x.k:
         raise ShapeMismatch(f"{b.k} weights for a frame with k={x.k}")
     bsq = np.asarray(b.values) ** 2
-    advance = partial(_rk4_step, lambda m: direction * _grad_raw(amat, bsq, m))
-    yield from _walk(x, config.horizon, config.step, advance)
+
+    def field(m):
+        return direction * _grad_raw(amat, bsq, m)
+
+    def advance(y, dt):
+        return _rk4_step(field, y, dt, g)
+
+    for t, x in _walk(x, config.horizon, config.step, advance):
+        g = field(x.mat)
+        yield t, x, g
+
+
+def gradient_path(a, b, x, config, direction=1):
+    """Yield (time, frame) along the RK4-integrated gradient flow of the
+    weighted energy.  direction=+1 ascends, -1 descends."""
+    for t, x, _ in _gradient_rows(a, b, x, config, direction):
+        yield t, x
 
 
 def gradient_flow(a, b, x, config, direction=1):

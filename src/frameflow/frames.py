@@ -16,7 +16,7 @@ from .errors import (
     Singular,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, hs_norm, qr_positive, symplectic_j
+from .linalg import DEFAULT_TOL, _j, hs_norm, qr_positive
 
 KIND_ORTHOGONAL = "orthogonal"
 KIND_UNITARY = "unitary"
@@ -65,8 +65,7 @@ class Frame:
         if kind == KIND_UNITARY:
             if n % 2:
                 raise OddAmbient(f"unitary frames need even ambient dimension, got {n}")
-            j = symplectic_j(n // 2)
-            if np.max(np.abs(m.T @ j @ m)) > _FRAME_ATOL:
+            if np.max(np.abs(m.T @ _j(n // 2) @ m)) > _FRAME_ATOL:
                 raise NotUnitaryFrame("columns are not pairwise isotropic")
         m.setflags(write=False)
         self._mat = m
@@ -183,8 +182,7 @@ def is_isotropic(x, atol=_FRAME_ATOL):
     n = m.shape[0]
     if n % 2:
         raise OddAmbient(f"ambient dimension {n} is odd")
-    j = symplectic_j(n // 2)
-    return bool(np.max(np.abs(m.T @ j @ m)) <= atol)
+    return bool(np.max(np.abs(m.T @ _j(n // 2) @ m)) <= atol)
 
 
 def frame_to_json(x):

@@ -164,6 +164,15 @@ def symplectic_j(n):
     return j
 
 
+@lru_cache(maxsize=None)
+def _j(n):
+    """symplectic_j(n) built once per n and read-only, for the per-step
+    isotropy checks and retracts."""
+    j = symplectic_j(n)
+    j.setflags(write=False)
+    return j
+
+
 def proj_tangent_unitary(x, b, tol=DEFAULT_TOL):
     """Orthogonal projection onto the tangent space of the isotropic
     (unitary-group) frame manifold at x.

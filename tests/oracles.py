@@ -349,3 +349,32 @@ def morse_json(n, k, symplectic, evals, weights, reports, grades):
         "points": points,
     }
     return json.dumps(blob, indent=2) + "\n"
+
+
+def path_json(cfg, a, samples, value_cols, meta):
+    """The flow and gradient-flow JSON as its dict builder wrote it, for
+    samples (t, frame matrix, values in value_cols order, stationary) and
+    the command's own top-level fields meta."""
+    doc = {
+        "command": cfg.command,
+        "n": cfg.n,
+        "k": cfg.k,
+        "symplectic": cfg.symplectic,
+        "seed": cfg.seed,
+        "eigenvalues": list(a.evals),
+        "step": cfg.step,
+        "horizon": cfg.horizon,
+        "tolerance": cfg.tolerance,
+        **meta,
+        "settled": samples[-1][3],
+        "rows": [
+            {
+                "t": t,
+                **dict(zip(value_cols, vals)),
+                "stationary": still,
+                "entries": mat.tolist(),
+            }
+            for t, mat, vals, still in samples
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -521,6 +521,78 @@ def test_path_outputs_golden_bytes(capsys, command, fmt, sp, descend):
     assert hashlib.sha256(out.encode()).hexdigest() == _PATH_GOLDEN[command, fmt, sp, descend]
 
 
+# sha256 of gradient-flow stdout at paired (3, 2), seed 0, horizon 0.255, for
+# (format, descend), recorded before the row gradient became the first RK4
+# stage of the next step; with two columns the isotropic retract runs its
+# inner loop, which the paired (2, 1) cells above never reach
+_PATH_GOLDEN_PAIRED_3_2 = {
+    ("csv", False): "97eabc21eb884a26ab7abd189c7dd8da67e732268d1d15f13715c3da47080853",
+    ("csv", True): "4fa19c66991d76a1cdd434c9edb39751aa726e3fb43be376af0ca3124cebdb07",
+    ("json", False): "0657e75fb0f780689a3dcc1cb2ed42f1d516fb97dab0078955c0c8cc96e1ac24",
+    ("json", True): "8eb543da7f7a41bbd04cac4057700b5c9b5393ff173e8400232e1d13f09cf49a",
+}
+
+
+@pytest.mark.parametrize("fmt,descend", sorted(_PATH_GOLDEN_PAIRED_3_2))
+def test_gradient_flow_paired_3_2_golden_bytes(capsys, fmt, descend):
+    argv = ["gradient-flow", "--n", "3", "--k", "2", "--symplectic", "--seed", "0",
+            "--horizon", "0.255", "--format", fmt]
+    out = _stdout(capsys, argv + (["--descend"] if descend else []))
+    assert hashlib.sha256(out.encode()).hexdigest() == _PATH_GOLDEN_PAIRED_3_2[fmt, descend]
+
+
+@pytest.mark.parametrize("command", [["flow"], ["gradient-flow"], ["gradient-flow", "--descend"]])
+@pytest.mark.parametrize("flags", [
+    ["--n", "1", "--k", "1"],
+    ["--n", "3", "--k", "2"],
+    ["--n", "4", "--k", "4"],
+    ["--n", "1", "--k", "1", "--symplectic"],
+    ["--n", "2", "--k", "2", "--symplectic"],
+    ["--n", "3", "--k", "1", "--symplectic", "--tolerance", "inf"],
+])
+def test_path_json_is_json_dumps(monkeypatch, command, flags):
+    path_text = cli._path_text
+    written = []
+
+    def spy(*args):
+        written.append((args, path_text(*args)))
+        return written[-1][1]
+
+    monkeypatch.setattr(cli, "_path_text", spy)
+    argv = [*command, *flags, "--seed", "3", "--horizon", "0.055", "--format", "json"]
+    code, out, err = _call(argv)
+    assert (code, err) == (0, "")
+    [(args, text)] = written
+    assert out == text == oracles.path_json(*args)
+
+
+def test_path_json_non_finite_numbers():
+    nan, inf = float("nan"), float("inf")
+    a = SpectralData((inf, 1.0, -0.0), np.eye(3))
+    samples = [
+        (nan, np.array([[nan, 1.0], [inf, -inf], [0.0, -0.0]]), (inf, -inf), False),
+        (-inf, np.array([[0.5, -2.5e-300], [1e300, nan], [3.0, 1e-7]]), (nan, 3), True),
+        (0.25, np.eye(3, 2), (np.float64(0.5), 1e16), True),
+    ]
+    cases = [
+        ("gradient-flow", ["value", "grad_norm"], {"weights": [1.0, nan], "direction": -1}),
+        ("flow", ["field_norm"], {}),
+    ]
+    for command, cols, meta in cases:
+        cfg = RunConfig(command=command, n=3, k=2, format="json", tolerance=inf)
+        rows = [(t, mat, vals[: len(cols)], still) for t, mat, vals, still in samples]
+        text = cli._path_text(cfg, a, rows, cols, meta)
+        assert text == oracles.path_json(cfg, a, rows, cols, meta)
+        assert "NaN" in text and "-Infinity" in text
+        assert json.loads(text)["rows"][2]["entries"] == np.eye(3, 2).tolist()
+
+
+def test_gradient_flow_drift_failure_message():
+    code, out, err = _call(["gradient-flow", "--n", "7", "--k", "3", "--seed", "0"])
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: column norms drifted by 2.457e-03; reduce the step\n"
+
+
 @pytest.mark.parametrize("command", ["flow", "gradient-flow", "lyapunov"])
 @pytest.mark.parametrize("flags,name", [
     (["--horizon", "inf"], "horizon"),

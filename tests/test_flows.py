@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from frameflow import cli
 from frameflow.errors import (
     Divergence,
     NotProjector,
@@ -21,6 +22,7 @@ from frameflow.flows import (
     FlowConfig,
     SpectralData,
     Weights,
+    _gradient_rows,
     default_spectral,
     flow,
     flow_path,
@@ -480,6 +482,42 @@ def test_gradient_flow_fixes_eigenvector_frame():
     cfg = FlowConfig(step=1e-2, horizon=1.0, integrator="rk4")
     y = gradient_flow(a, Weights((1.0, 0.5)), x, cfg)
     assert np.max(np.abs(y.mat - x.mat)) < 1e-12
+
+
+@pytest.mark.parametrize("n,k,sp", [(3, 2, False), (4, 1, False), (2, 1, True), (3, 2, True)])
+@pytest.mark.parametrize("descend", [False, True])
+def test_gradient_rows_are_the_path_and_its_row_values(capsys, n, k, sp, descend):
+    cfg = cli.RunConfig(command="gradient-flow", n=n, k=k, symplectic=sp, seed=5,
+                        horizon=0.105, descend=descend)
+    a, b = cli._spectral(cfg), cli._weight_ladder(cfg)
+    x = cli._start_frame(cfg, a)
+    config = FlowConfig(step=cfg.step, horizon=cfg.horizon)
+    direction = -1 if descend else 1
+    rows = list(_gradient_rows(a, b, x, config, direction))
+    path = list(gradient_path(a, b, x, config, direction))
+    argv = ["gradient-flow", "--n", str(n), "--k", str(k), "--seed", "5", "--horizon", "0.105"]
+    assert cli.main(argv + ["--symplectic"] * sp + ["--descend"] * descend) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    # ten full steps and a remainder step
+    assert len(rows) == len(path) == len(lines) == 12
+    for (t, fr, g), (tp, fp), line in zip(rows, path, lines):
+        assert t == tp and np.array_equal(fr.mat, fp.mat)
+        assert np.array_equal(g, direction * quad_gradient(a, b, fr))
+        assert hs_norm(g) == hs_norm(quad_gradient(a, b, fr))
+        cells = [float(c) for c in line.split(",") if c not in ("true", "false")]
+        assert cells[:3] == [t, quad(a, b, fr), hs_norm(g)]
+        assert np.array_equal(cells[3:], fr.mat.ravel())
+
+
+def test_drift_norms_are_linalg_norm_bits():
+    # the column norms _rk4_step checks for drift
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n, k = rng.integers(1, 9), rng.integers(1, 6)
+        m = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-150, 151)
+        m[:, rng.random(k) < 0.3] = 0.0
+        norms = np.sqrt(np.add.reduce(m * m, axis=0))
+        assert np.array_equal(norms, np.linalg.norm(m, axis=0))
 
 
 # ------------------------------------------------------------------- xi form

@@ -24,7 +24,7 @@ from frameflow.frames import (
     to_flag,
     truncate,
 )
-from frameflow.linalg import qr_positive, symplectic_j
+from frameflow.linalg import _j, qr_positive, symplectic_j
 
 
 def _random_frame(rng, n, k):
@@ -44,6 +44,22 @@ def test_frame_accepts_orthonormal_columns():
     f = Frame(np.eye(4, 2))
     assert f.n == 4 and f.k == 2
     assert f.kind == "orthogonal"
+
+
+def test_symplectic_j_result_is_safe_to_mutate():
+    standard = symplectic_j(2)
+    Frame(np.eye(4, 2), "unitary")  # the checks' own skew form is built now
+    j = symplectic_j(2)
+    assert j.flags.writeable and j is not symplectic_j(2)
+    j[:] = 0.0
+    iso, partners = np.eye(4, 2), np.eye(4)[:, [0, 2]]  # e1, e2 and e1, J e1
+    assert Frame(iso, "unitary").kind == "unitary"
+    with pytest.raises(NotUnitaryFrame):
+        Frame(partners, "unitary")
+    assert is_isotropic(iso) and not is_isotropic(partners)
+    assert np.array_equal(symplectic_j(2), standard)
+    with pytest.raises(ValueError):
+        _j(2)[0, 0] = 1.0
 
 
 def test_frame_rejects_nonorthonormal():
