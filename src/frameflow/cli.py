@@ -9,7 +9,6 @@ configuration reproduces its output byte for byte.  Exit codes: 0 success,
 
 import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .flows import (
     FlowConfig,
     SpectralData,
     Weights,
+    _energy,
     _gradient_rows,
     flow_path,
     lyapunov_audit,
@@ -39,7 +39,7 @@ from .morse import (
     fixed_points,
     perfectness_certificate,
 )
-from .skeleton import _json_array, _json_list, _label, build_graph
+from .skeleton import _dumps, _label, build_graph
 from .strata import Tree, _elements, _irreducible, sample_stratum
 
 __all__ = ["RunConfig", "generate_matrix", "main", "run"]
@@ -70,19 +70,9 @@ def generate_matrix(spec, symplectic=False, n=None):
     if isinstance(spec, (int, np.integer)):
         if n is None:
             raise ValidationError("a seeded spectrum needs n")
-        rng = np.random.default_rng(int(spec))
-        jitter = rng.uniform(0.9, 1.1, size=n)
-        if symplectic:
-            lead = sorted(
-                (2.0 ** (n - i) * jitter[i] for i in range(n)), reverse=True
-            )
-            evals = tuple(lead) + tuple(1.0 / v for v in lead)
-            return SpectralData(evals, np.eye(2 * n))
-        raw = sorted(
-            (2.0 ** (n - 1 - 2 * i) * jitter[i] for i in range(n)), reverse=True
-        )
-        geo = float(np.prod(raw)) ** (1.0 / n)
-        return SpectralData(tuple(v / geo for v in raw), np.eye(n))
+        jitter = np.random.default_rng(int(spec)).uniform(0.9, 1.1, size=n)
+        # a paired ladder stays above one, so no value flips below
+        spec = [2.0 ** (n - i if symplectic else n - 1 - 2 * i) * jitter[i] for i in range(n)]
     vals = [float(v) for v in spec]
     if not vals:
         raise ValidationError("need at least one eigenvalue")
@@ -327,18 +317,10 @@ def _generator(a, symplectic):
     return SpectralData(logs + tuple(-v for v in logs), a.evecs)
 
 
-def _json_num(v):
-    """json.dumps(v) for a number: its repr, which is the encoder's rule for
-    ints and finite floats, else (NaN, Infinity) the encoder itself."""
-    text = repr(v)
-    return json.dumps(v) if "n" in text else text
-
-
 def _path_text(cfg, a, samples, value_cols, meta):
     """Shared serialization for the two path commands.  samples is a list of
     (t, frame matrix, values in value_cols order, stationary); meta holds
-    the command's own top-level fields.  JSON is written directly as the
-    bytes of json.dumps(doc, indent=2) + "\n" of the whole document."""
+    the command's own top-level fields."""
     if cfg.format == "csv":
         amb, k = samples[0][1].shape
         fmt = "{:.17g}".format
@@ -350,26 +332,14 @@ def _path_text(cfg, a, samples, value_cols, meta):
             for t, mat, vals, still in samples
         )
         return _csv(lines)
-    keys = [f',\n      "{c}": ' for c in value_cols]
     rows = [
-        f'{{\n      "t": {_json_num(t)}'
-        + "".join(key + _json_num(v) for key, v in zip(keys, vals))
-        + f',\n      "stationary": {"true" if still else "false"},\n      "entries": '
-        + _json_array([_json_list(r, 4) for r in mat.tolist()], 3)
-        + "\n    }"
+        {"t": t, **dict(zip(value_cols, vals)), "stationary": still, "entries": mat.tolist()}
         for t, mat, vals, still in samples
     ]
-    dumps = json.dumps
-    extra = "".join(f',\n  "{key}": ' + dumps(v, indent=2).replace("\n", "\n  ")
-                    for key, v in meta.items())
-    return (
-        f'{{\n  "command": {dumps(cfg.command)},\n  "n": {dumps(cfg.n)},'
-        f'\n  "k": {dumps(cfg.k)},\n  "symplectic": {dumps(cfg.symplectic)},'
-        f'\n  "seed": {dumps(cfg.seed)},\n  "eigenvalues": {_json_list(a.evals, 1)},'
-        f'\n  "step": {dumps(cfg.step)},\n  "horizon": {dumps(cfg.horizon)},'
-        f'\n  "tolerance": {dumps(cfg.tolerance)}{extra},'
-        f'\n  "settled": {dumps(samples[-1][3])},\n  "rows": {_json_array(rows, 1)}\n}}\n'
-    )
+    doc = {"command": cfg.command, "n": cfg.n, "k": cfg.k, "symplectic": cfg.symplectic,
+           "seed": cfg.seed, "eigenvalues": a.evals, "step": cfg.step, "horizon": cfg.horizon,
+           "tolerance": cfg.tolerance, **meta, "settled": samples[-1][3], "rows": rows}
+    return _dumps(doc) + "\n"
 
 
 def _cmd_flow(cfg):
@@ -395,10 +365,8 @@ def _cmd_gradient_flow(cfg):
     samples = []
     config = FlowConfig(step=cfg.step, horizon=cfg.horizon)
     for t, fr, g in _gradient_rows(a, b, x, config, direction):
-        m = fr.mat * w
         gn = hs_norm(g)
-        value = float(np.vdot(amat @ m, m)) / fr.k
-        samples.append((t, fr.mat, (value, gn), gn < cfg.tolerance))
+        samples.append((t, fr.mat, (_energy(amat, w, fr.mat), gn), gn < cfg.tolerance))
     meta = {"weights": list(b.values), "direction": direction}
     return _path_text(cfg, a, samples, ["value", "grad_norm"], meta)
 
@@ -422,12 +390,9 @@ def _cmd_strata(cfg):
         lines += [f"{i},{d}{zero if d == 0 else other}" for i, (_, d) in enumerate(rows)]
         return _csv(lines)
     # the bytes of json.dumps(..., indent=2), one string per tree
-    n, k, sp = (json.dumps(v) for v in (cfg.n, cfg.k, cfg.symplectic))
+    n, k, sp = map(_dumps, (cfg.n, cfg.k, cfg.symplectic))
     universe = 2 * cfg.n if cfg.symplectic else cfg.n
-    block = {
-        m: "        [\n" + ",\n".join(f"          {e}" for e in _elements(m)) + "\n        ]"
-        for m in range(1, 1 << universe)
-    }
+    block = {m: "        " + _dumps(_elements(m), 4) for m in range(1, 1 << universe)}
     sep = ",\n"
     start = '    {\n      "tree_id": '
     mid = f',\n      "n": {n},\n      "k": {k},\n      "symplectic": {sp},\n      "nodes": [\n'
@@ -467,24 +432,15 @@ def _cmd_morse(cfg):
 
 
 def _morse_json(cfg, a, b, reports):
-    """The bytes of json.dumps(..., indent=2) + "\n" of the morse fields,
-    written without the indenting encoder."""
-    points = _json_array(
-        [
-            f'{{\n      "word": {_json_list(w, 3)},\n      "h": {h},'
-            f'\n      "morse_index": {mi},\n      "jacobian_above_one": {above},'
-            f'\n      "jacobian_eigs": {_json_list(rep.jacobian_eigs, 3)},'
-            f'\n      "hessian_eigs": {_json_list(rep.hessian_eigs, 3)}\n    }}'
-            for rep, (w, h, mi, above) in zip(reports, map(_rest_row, reports))
-        ],
-        1,
-    )
-    n, k, sp = (json.dumps(v) for v in (cfg.n, cfg.k, cfg.symplectic))
-    return (
-        f'{{\n  "n": {n},\n  "k": {k},\n  "symplectic": {sp},'
-        f'\n  "eigenvalues": {_json_list(a.evals, 1)},'
-        f'\n  "weights": {_json_list(b.values, 1)},\n  "points": {points}\n}}\n'
-    )
+    """The bytes of json.dumps(..., indent=2) + "\n" of the morse fields."""
+    points = [
+        {"word": w, "h": h, "morse_index": mi, "jacobian_above_one": above,
+         "jacobian_eigs": rep.jacobian_eigs, "hessian_eigs": rep.hessian_eigs}
+        for rep, (w, h, mi, above) in zip(reports, map(_rest_row, reports))
+    ]
+    doc = {"n": cfg.n, "k": cfg.k, "symplectic": cfg.symplectic, "eigenvalues": a.evals,
+           "weights": b.values, "points": points}
+    return _dumps(doc) + "\n"
 
 
 def _cmd_certify(cfg):

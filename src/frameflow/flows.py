@@ -220,7 +220,7 @@ def _rk4_step(fieldfn, x, dt, k1=None):
     m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # the bits of np.linalg.norm(m, axis=0) without its wrapper
     drift = np.abs(np.sqrt(np.add.reduce(m * m, axis=0)) - 1.0).max()
-    if drift > _DRIFT_LIMIT:
+    if not drift <= _DRIFT_LIMIT:  # NaN included
         raise Divergence(f"column norms drifted by {drift:.3e}; reduce the step")
     return Frame(_retract(m, x.kind), x.kind)
 
@@ -273,8 +273,14 @@ def quad(a, b, x):
     amat = _as_sym(a, x.n)
     if b.k != x.k:
         raise ShapeMismatch(f"{b.k} weights for a frame with k={x.k}")
-    m = x.mat * np.asarray(b.values)
-    return float(np.vdot(amat @ m, m)) / x.k
+    return _energy(amat, np.asarray(b.values), x.mat)
+
+
+def _energy(amat, w, m):
+    """quad at the frame matrix m, with a's matrix amat and the weights w
+    as an array."""
+    m = m * w
+    return float(np.vdot(amat @ m, m)) / m.shape[1]
 
 
 def _grad_raw(amat, bsq, m):
@@ -426,15 +432,13 @@ def lyapunov_audit(a, h, b, x, config):
     hmat = h.matrix()
     bvec = np.asarray(b.values)
     bsq = bvec**2
-    k = x.k
     rows = []
     for t, fr in flow_path(h, x, config):
         m = fr.mat
-        weighted = m * bvec
         rows.append(
             AuditRow(
                 t,
-                float(np.vdot(amat @ weighted, weighted)) / k,
+                _energy(amat, bvec, m),
                 hs_norm(_grad_raw(amat, bsq, m)),
                 hs_norm(_field_raw(hmat, m)),
             )

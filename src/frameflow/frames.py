@@ -101,11 +101,13 @@ def act(a, x, tol=DEFAULT_TOL):
 
 
 def _invertible(a, n, tol=DEFAULT_TOL):
-    """a as an n x n float matrix; raises Singular unless its singular
-    values stay above tol.relative times the largest."""
+    """a as an n x n float matrix; raises Singular unless it is finite and
+    its singular values stay above tol.relative times the largest."""
     a = np.asarray(a, dtype=float)
     if a.shape != (n, n):
         raise ShapeMismatch(f"need a {n}x{n} matrix, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise Singular("matrix has non-finite entries")
     sv = np.linalg.svd(a, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= tol.relative * sv[0]:
         raise Singular("matrix is numerically singular")

@@ -8,7 +8,6 @@ histogram over rest points matches the cell-count polynomial of the frame
 space coefficient by coefficient.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,7 @@ from .frames import KIND_ORTHOGONAL, KIND_UNITARY, Frame
 from .skeleton import (
     Perm,
     _check_sizes,
-    _json_array,
-    _json_list,
+    _dumps,
     _label,
     _moves,
     _rank,
@@ -310,23 +308,25 @@ def _chart_directions(p):
 
 def _numeric_index(a, b, p, step):
     """Count positive second differences of the energy along the chart
-    directions; a flat direction counts as nonpositive."""
+    directions; a flat direction counts as nonpositive, and so does a NaN
+    one, where the squared eigenvalues overflow."""
     v = eigenframe(a, p)
-    amat2 = (a.evecs * np.square(a.evals)) @ a.evecs.T
     bv = np.asarray(b.values)
 
     def energy(m):
         w = m * bv
         return float(np.tensordot(amat2 @ w, w)) / p.k
 
-    f0 = energy(v.mat)
     idx = 0
-    for t in _chart_directions(p):
-        d = a.evecs @ t
-        plus = energy(_retract(v.mat + step * d, v.kind))
-        minus = energy(_retract(v.mat - step * d, v.kind))
-        if plus - 2.0 * f0 + minus > 0.0:
-            idx += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        amat2 = (a.evecs * np.square(a.evals)) @ a.evecs.T
+        f0 = energy(v.mat)
+        for t in _chart_directions(p):
+            d = a.evecs @ t
+            plus = energy(_retract(v.mat + step * d, v.kind))
+            minus = energy(_retract(v.mat - step * d, v.kind))
+            if plus - 2.0 * f0 + minus > 0.0:
+                idx += 1
     return idx
 
 
@@ -374,26 +374,16 @@ class Certificate:
 
     def to_json(self):
         """The bytes of json.dumps(..., indent=2, sort_keys=True) + "\n" of
-        the certificate, written without the indenting encoder."""
-        n, k, sp, match = (json.dumps(v) for v in (self.n, self.k, self.symplectic, self.match))
-        points = _json_array(
-            [
-                f'{{\n      "h": {h},\n      "jacobian_above_one": {above},'
-                f'\n      "morse_index": {mi},'
-                f'\n      "numeric_index": {"null" if num is None else num},'
-                f'\n      "ok": {"true" if ok else "false"},'
-                f'\n      "word": {_json_list(word, 3)}\n    }}'
-                for word, h, mi, above, num, ok in self._rows
-            ],
-            1,
-        )
-        return (
-            f'{{\n  "k": {k},\n  "match": {match},'
-            f'\n  "morse_coeffs": {_json_list(self.morse.coeffs, 1)},'
-            f'\n  "n": {n},\n  "per_point": {points},'
-            f'\n  "poincare_coeffs": {_json_list(self.poincare.coeffs, 1)},'
-            f'\n  "symplectic": {sp}\n}}\n'
-        )
+        the certificate."""
+        points = [
+            {"h": h, "jacobian_above_one": above, "morse_index": mi, "numeric_index": num,
+             "ok": ok, "word": word}
+            for word, h, mi, above, num, ok in self._rows
+        ]
+        doc = {"k": self.k, "match": self.match, "morse_coeffs": self.morse.coeffs,
+               "n": self.n, "per_point": points, "poincare_coeffs": self.poincare.coeffs,
+               "symplectic": self.symplectic}
+        return _dumps(doc) + "\n"
 
     def csv_lines(self):
         lines = [",".join(_CERT_COLUMNS)]

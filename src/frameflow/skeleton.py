@@ -64,28 +64,40 @@ def _label(word):
     return "(" + " ".join(map(str, word)) + ")"
 
 
-def _json_array(items, depth):
-    """The layout json.dumps(..., indent=2) gives a list whose items are
-    already encoded, its bracket opening depth levels deep."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
-
-
 _PLAIN_NUMBERS = frozenset((int, float))
+_LITERALS = {True: "true", False: "false", None: "null"}
+# the line break and indent that open each level of an indent-2 document
+_PADS = tuple("\n" + "  " * depth for depth in range(16))
 
 
-def _json_list(values, depth):
-    """The text json.dumps(list(values), indent=2) gives for a list of
-    numbers whose bracket opens depth levels deep."""
-    text = _json_array([*map(repr, values)], depth)
+def _dumps(doc, depth=0):
+    """The text json.dumps(doc, indent=2) gives for a document of dicts with
+    identifier keys, lists, tuples, numbers, bools and None whose first line
+    opens depth levels deep; no container may sit deeper than level 14."""
     # repr is the encoder's rule for plain ints and finite floats, and the
-    # repr of every non-finite float holds an "n"; anything else goes
-    # through the encoder, its lines shifted to the depth
-    if "n" in text or not _PLAIN_NUMBERS.issuperset(map(type, values)):
-        text = json.dumps(list(values), indent=2).replace("\n", "\n" + "  " * depth)
-    return text
+    # repr of every non-finite float holds an "n"
+    if type(doc) in _PLAIN_NUMBERS:
+        text = repr(doc)
+        return json.dumps(doc) if "n" in text else text
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        pad = _PADS[depth + 1]
+        if _PLAIN_NUMBERS.issuperset(map(type, doc)):
+            text = f",{pad}".join(map(repr, doc))
+            if "n" not in text:
+                return f"[{pad}{text}{_PADS[depth]}]"
+        items = f",{pad}".join([_dumps(v, depth + 1) for v in doc])
+        return f"[{pad}{items}{_PADS[depth]}]"
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        pad = _PADS[depth + 1]
+        items = f",{pad}".join([f'"{key}": {_dumps(v, depth + 1)}' for key, v in doc.items()])
+        return f"{{{pad}{items}{_PADS[depth]}}}"
+    if doc is None or type(doc) is bool:
+        return _LITERALS[doc]
+    return json.dumps(doc)
 
 
 def _check_sizes(n, k):
@@ -277,14 +289,11 @@ class SkeletonGraph:
 
     def to_json(self):
         """The bytes of json.dumps(..., indent=2, sort_keys=True) + "\n" of
-        the graph's fields, written without the indenting encoder."""
-        n, k, sp = (json.dumps(v) for v in (self.n, self.k, self.symplectic))
-        edges = _json_array([_json_list(e, 2) for e in self.edges], 1)
-        words = _json_array([_json_list(p.word, 2) for p in self.vertices], 1)
-        return (
-            f'{{\n  "edges": {edges},\n  "index": {_json_list(self.h, 1)},\n  "k": {k},'
-            f'\n  "n": {n},\n  "symplectic": {sp},\n  "vertices": {words}\n}}\n'
-        )
+        the graph's fields."""
+        words = [p.word for p in self.vertices]
+        doc = {"edges": self.edges, "index": self.h, "k": self.k, "n": self.n,
+               "symplectic": self.symplectic, "vertices": words}
+        return _dumps(doc) + "\n"
 
 
 def build_graph(n, k, symplectic=False, max_vertices=100000):

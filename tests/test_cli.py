@@ -48,6 +48,9 @@ def test_generate_matrix_errors():
         generate_matrix((0.0,), symplectic=True)
     with pytest.raises(ValidationError):
         generate_matrix(7)  # seeded draw needs the size
+    for sp in (False, True):
+        with pytest.raises(ValidationError, match="at least one eigenvalue"):
+            generate_matrix(7, sp, n=0)
 
 
 def test_generate_matrix_seeded():
@@ -427,14 +430,7 @@ def _rest_argv(sp, variant):
 @pytest.mark.parametrize("command,fmt,sp,variant", _REST_CELLS)
 def test_rest_point_outputs_golden_bytes(capsys, command, fmt, sp, variant):
     argv = [command, *_rest_argv(sp, variant), "--format", fmt]
-    if (command, variant) == ("certify", "overflow"):
-        # the finite-difference index check squares the eigenvalues with
-        # numpy, which warns on the overflow; the command line prints the
-        # warnings on stderr
-        with pytest.warns(RuntimeWarning):
-            out = _stdout(capsys, argv)
-    else:
-        out = _stdout(capsys, argv)
+    out = _stdout(capsys, argv)
     assert hashlib.sha256(out.encode()).hexdigest() == _REST_GOLDEN[variant][command, fmt, sp]
 
 
@@ -591,6 +587,22 @@ def test_gradient_flow_drift_failure_message():
     code, out, err = _call(["gradient-flow", "--n", "7", "--k", "3", "--seed", "0"])
     assert (code, out) == (2, "")
     assert err == "numerical failure: column norms drifted by 2.457e-03; reduce the step\n"
+
+
+@pytest.mark.parametrize("command,message", [
+    ("flow", "matrix has non-finite entries"),
+    ("lyapunov", "matrix has non-finite entries"),
+    ("gradient-flow", "column norms drifted by nan; reduce the step"),
+])
+def test_overflowing_spectrum_is_a_numerical_failure(command, message):
+    # exp(dt * 1e300) and the RK4 stages overflow to inf and NaN; numpy
+    # warns on the way, and the command exits 2 instead of crashing in the
+    # SVD or passing a NaN drift
+    argv = [command, "--n", "3", "--k", "2", "--eigenvalues", "1e300 1 1e-300",
+            "--horizon", "0.05"]
+    with pytest.warns(RuntimeWarning):
+        code, out, err = _call(argv)
+    assert (code, out, err) == (2, "", f"numerical failure: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["flow", "gradient-flow", "lyapunov"])

@@ -184,6 +184,9 @@ def test_act_singular_matrix():
     a = np.diag([1.0, 1.0, 0.0])
     with pytest.raises(Singular):
         act(a, x)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(Singular, match="non-finite"):
+            act(np.diag([1.0, bad, 1.0]), x)
 
 
 def test_act_preserves_unitary_kind():

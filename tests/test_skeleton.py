@@ -17,7 +17,7 @@ from frameflow.errors import (
 from frameflow.morse import fixed_points, poincare_poly
 from frameflow.skeleton import (
     Perm,
-    _json_list,
+    _dumps,
     _moves,
     _rank,
     build_graph,
@@ -330,22 +330,31 @@ def test_dot_and_json_exports():
 _JSON_SCALARS = st.one_of(
     st.integers(),
     st.floats(),  # NaN and both infinities included
+    st.floats(allow_nan=False).map(np.float64),
     st.booleans(),
     st.none(),
-    st.floats(allow_nan=False).map(np.float64),
 )
+_IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_JSON_SCALARS, max_size=6), st.integers(0, 4))
-def test_json_list_is_the_encoders_indented_list(values, depth):
-    nested = values
-    for _ in range(depth):
-        nested = [nested]
-    opening = "".join("  " * i + "[\n" for i in range(depth))
-    closing = "".join("\n" + "  " * i + "]" for i in reversed(range(depth)))
-    text = opening + "  " * depth + _json_list(tuple(values), depth) + closing
-    assert text == json.dumps(nested, indent=2)
+def _json_docs(depth):
+    """Documents of dicts with identifier keys, lists and tuples nested up
+    to depth levels, empty containers included."""
+    if depth == 0:
+        return _JSON_SCALARS
+    inner = _json_docs(depth - 1)
+    return st.one_of(
+        inner,
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_IDENTIFIERS, inner, max_size=4),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_docs(4))
+def test_dumps_is_the_encoders_indent_2_text(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2)
 
 
 # ------------------------------------------------------- one-dim connections
