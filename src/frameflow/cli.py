@@ -11,7 +11,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,16 +44,6 @@ from .strata import Tree, _elements, _irreducible, sample_stratum
 
 __all__ = ["RunConfig", "generate_matrix", "main", "run"]
 
-_COMMANDS = (
-    "flow",
-    "gradient-flow",
-    "lyapunov",
-    "strata",
-    "skeleton",
-    "morse",
-    "certify",
-)
-
 
 def generate_matrix(spec, symplectic=False, n=None):
     """Diagonal-family spectral data from an eigenvalue list or a seed.
@@ -70,6 +60,10 @@ def generate_matrix(spec, symplectic=False, n=None):
     if isinstance(spec, (int, np.integer)):
         if n is None:
             raise ValidationError("a seeded spectrum needs n")
+        if spec < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {spec}")
+        if n < 1:
+            raise ValidationError("need at least one eigenvalue")
         jitter = np.random.default_rng(int(spec)).uniform(0.9, 1.1, size=n)
         # a paired ladder stays above one, so no value flips below
         spec = [2.0 ** (n - i if symplectic else n - 1 - 2 * i) * jitter[i] for i in range(n)]
@@ -127,8 +121,8 @@ class RunConfig:
             raise ValidationError(
                 f"format must be one of {', '.join(allowed)} for {self.command}"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.step > 0.0:
             raise ValidationError(f"step must be positive, got {self.step}")
         if not self.horizon > 0.0:
@@ -179,28 +173,22 @@ def _to_bool(text):
 
 
 def _to_floats(text):
-    if isinstance(text, bool):
-        raise ValidationError(f"expected a number list, got {text!r}")
     items = [s for s in str(text).replace(",", " ").split() if s]
     if not items:
         raise ValidationError("expected at least one number")
     return tuple(_to_float(s) for s in items)
 
 
+# the fields after command are the flags and the config-file keys; values
+# convert type by type in this order (ints, then floats, bools, lists and
+# strings), which decides the error printed when two values are malformed
+_FLAGS = fields(RunConfig)[1:]
 _CONVERTERS = {
-    "n": _to_int,
-    "k": _to_int,
-    "seed": _to_int,
-    "max_vertices": _to_int,
-    "step": _to_float,
-    "horizon": _to_float,
-    "tolerance": _to_float,
-    "symplectic": _to_bool,
-    "descend": _to_bool,
-    "eigenvalues": _to_floats,
-    "weights": _to_floats,
-    "output": str,
-    "format": str,
+    f.name: convert
+    for kind, convert in ((int, _to_int), (float, _to_float), (bool, _to_bool),
+                          (tuple, _to_floats), (str, str))
+    for f in _FLAGS
+    if f.type is kind
 }
 
 
@@ -226,31 +214,19 @@ def _read_config_file(path):
     return values
 
 
-def _add_flags(sp, descend=False):
-    sp.add_argument("--config", help="key=value file; explicit flags win")
-    sp.add_argument("--n")
-    sp.add_argument("--k")
-    sp.add_argument("--symplectic", nargs="?", const="true")
-    sp.add_argument("--seed")
-    sp.add_argument("--eigenvalues")
-    sp.add_argument("--weights")
-    sp.add_argument("--step")
-    sp.add_argument("--horizon")
-    sp.add_argument("--output")
-    sp.add_argument("--format")
-    sp.add_argument("--max-vertices", dest="max_vertices")
-    sp.add_argument("--tolerance")
-    if descend:
-        sp.add_argument("--descend", nargs="?", const="true")
-
-
 @functools.cache
 def _parser():
     # built once per process: parsing leaves no state on the parser
     parser = _Parser(prog="frameflow")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name in _COMMANDS:
-        _add_flags(sub.add_parser(name), descend=name == "gradient-flow")
+    for command in _COMMANDS:
+        sp = sub.add_parser(command)
+        sp.add_argument("--config", help="key=value file; explicit flags win")
+        for f in _FLAGS:
+            if f.name == "descend" and command != "gradient-flow":
+                continue
+            bool_flag = {"nargs": "?", "const": "true"} if f.type is bool else {}
+            sp.add_argument("--" + f.name.replace("_", "-"), **bool_flag)
     return parser
 
 
@@ -458,7 +434,7 @@ def _cmd_certify(cfg):
     return cert.to_json()
 
 
-_EXECUTORS = {
+_COMMANDS = {
     "flow": _cmd_flow,
     "gradient-flow": _cmd_gradient_flow,
     "lyapunov": _cmd_lyapunov,
@@ -472,7 +448,7 @@ _EXECUTORS = {
 def run(cfg):
     """Execute one validated RunConfig, writing its report to cfg.output or
     standard output.  Returns 0; failures raise and main maps them."""
-    text = _EXECUTORS[cfg.command](cfg)
+    text = _COMMANDS[cfg.command](cfg)
     if cfg.output:
         with open(cfg.output, "w") as fh:
             fh.write(text)

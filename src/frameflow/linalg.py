@@ -173,7 +173,7 @@ def _j(n):
     return j
 
 
-def proj_tangent_unitary(x, b, tol=DEFAULT_TOL):
+def proj_tangent_unitary(x, b):
     """Orthogonal projection onto the tangent space of the isotropic
     (unitary-group) frame manifold at x.
 

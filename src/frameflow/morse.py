@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     WeightsNotStrict,
 )
-from .flows import SpectralData, Weights, _retract, default_spectral
+from .flows import SpectralData, Weights, _energy, _retract, default_spectral
 from .frames import KIND_ORTHOGONAL, KIND_UNITARY, Frame
 from .skeleton import (
     Perm,
@@ -312,19 +312,14 @@ def _numeric_index(a, b, p, step):
     one, where the squared eigenvalues overflow."""
     v = eigenframe(a, p)
     bv = np.asarray(b.values)
-
-    def energy(m):
-        w = m * bv
-        return float(np.tensordot(amat2 @ w, w)) / p.k
-
     idx = 0
     with np.errstate(over="ignore", invalid="ignore"):
         amat2 = (a.evecs * np.square(a.evals)) @ a.evecs.T
-        f0 = energy(v.mat)
+        f0 = _energy(amat2, bv, v.mat)
         for t in _chart_directions(p):
             d = a.evecs @ t
-            plus = energy(_retract(v.mat + step * d, v.kind))
-            minus = energy(_retract(v.mat - step * d, v.kind))
+            plus = _energy(amat2, bv, _retract(v.mat + step * d, v.kind))
+            minus = _energy(amat2, bv, _retract(v.mat - step * d, v.kind))
             if plus - 2.0 * f0 + minus > 0.0:
                 idx += 1
     return idx

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -51,6 +53,10 @@ def test_generate_matrix_errors():
     for sp in (False, True):
         with pytest.raises(ValidationError, match="at least one eigenvalue"):
             generate_matrix(7, sp, n=0)
+        with pytest.raises(ValidationError, match="at least one eigenvalue"):
+            generate_matrix(7, sp, n=-1)
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            generate_matrix(-1, sp, n=2)
 
 
 def test_generate_matrix_seeded():
@@ -89,6 +95,8 @@ def test_run_config_validation():
         RunConfig(command="flow", n=3, k=2, horizon=0.0)
     with pytest.raises(ValidationError):
         RunConfig(command="flow", n=3, k=2, tolerance=0.0)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        RunConfig(command="strata", n=3, k=2, seed=-1)
 
 
 def test_exit_codes():
@@ -466,7 +474,7 @@ def _rest_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_rest_inputs())
 def test_direct_json_writers_match_json_dumps(case):
-    n, k, sp, a, b, seeded = case
+    n, k, sp, a, b, _ = case
     pts = fixed_points(n, k, sp)
     reports = tuple(critical_report(a, b, p) for p in pts)
     # the one-pass reports are the per-point ones, NaN included
@@ -476,13 +484,8 @@ def test_direct_json_writers_match_json_dumps(case):
     assert _morse_json(cfg, a, b, reports) == want
     g = build_graph(n, k, sp)
     assert g.to_json() == oracles.skeleton_json(g)
-    # the finite-difference index squares eigenvalues and weights with numpy,
-    # which warns on overflow, so it runs on the seeded spectra and the
-    # default weights only
-    if seeded and n <= (2 if sp else 3):
-        cert = perfectness_certificate(n, k, sp, spectral=a, numeric=True)
-    else:
-        cert = perfectness_certificate(n, k, sp, spectral=a, weights=b, numeric=False)
+    numeric = n <= (2 if sp else 3)
+    cert = perfectness_certificate(n, k, sp, spectral=a, weights=b, numeric=numeric)
     assert cert.to_json() == oracles.certificate_json(cert)
 
 
@@ -648,6 +651,80 @@ def _call(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# (text, converted value) per RunConfig field type; every value is one that
+# RunConfig accepts for gradient-flow, the command that takes every flag
+_FIELD_SAMPLES = {
+    int: ("5", 5),
+    float: ("0.5", 0.5),
+    bool: ("yes", True),
+    tuple: ("2, 1", (2.0, 1.0)),
+    str: ("json", "json"),
+}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RunConfig)[1:], ids=lambda f: f.name)
+def test_every_field_is_a_flag_and_a_config_key(tmp_path, field):
+    text, value = _FIELD_SAMPLES[field.type]
+    flag = "--" + field.name.replace("_", "-")
+    base = ["gradient-flow", "--n", "2", "--k", "1"]
+    cfgs = [cli._config_from_args([*base, flag, text])]
+    for key in (field.name, field.name.replace("_", "-")):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"n = 2\nk = 1\n{key} = {text}\n")
+        cfgs.append(cli._config_from_args(["gradient-flow", "--config", str(cfgfile)]))
+    for cfg in cfgs:
+        got = getattr(cfg, field.name)
+        assert type(got) is field.type and got == value
+
+
+def test_subparser_flags_are_config_then_fields():
+    [sub] = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(cli._COMMANDS)
+    fields = ["--" + f.name.replace("_", "-") for f in dataclasses.fields(RunConfig)[1:]]
+    for name, sp in sub.choices.items():
+        flags = [opt for a in sp._actions for opt in a.option_strings if opt.startswith("--")]
+        want = fields if name == "gradient-flow" else [f for f in fields if f != "--descend"]
+        assert flags == ["--help", "--config", *want], name
+
+
+@pytest.mark.parametrize("command", ["flow", "gradient-flow", "lyapunov", "strata",
+                                     "skeleton", "morse", "certify"])
+def test_descend_is_a_gradient_flow_flag_only(command):
+    argv = [command, "--n", "2", "--k", "1", "--descend"]
+    if command == "gradient-flow":
+        assert cli._config_from_args(argv).descend is True
+    else:
+        with pytest.raises(ValidationError, match="unrecognized arguments: --descend"):
+            cli._config_from_args(argv)
+
+
+@pytest.mark.parametrize("flags,message", [
+    # values convert ints, then floats, bools, lists and strings
+    (["--symplectic", "maybe", "--seed", "x"], "expected an integer, got 'x'"),
+    (["--eigenvalues", "a", "--step", "b"], "expected a number, got 'b'"),
+    (["--weights", "a", "--tolerance", "b", "--max-vertices", "q"],
+     "expected an integer, got 'q'"),
+])
+def test_two_bad_values_report_in_conversion_order(flags, message):
+    code, out, err = _call(["flow", "--n", "2", "--k", "1", *flags])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [command, "--n", "2", "--k", "1", "--seed", "-1", *extra]
+    for command in ("flow", "gradient-flow", "lyapunov", "strata", "skeleton", "morse",
+                    "certify")
+    for extra in ([], ["--eigenvalues", "2,1"])
+] + [
+    [command, "--n", "-1", "--k", "1"] for command in ("flow", "gradient-flow", "lyapunov",
+                                                        "morse")
+])
+def test_negative_seed_or_n_is_an_input_error(argv):
+    code, out, err = _call([*argv, "--horizon", "0.05"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parser_reuse_matches_fresh_parser(tmp_path):
