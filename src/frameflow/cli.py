@@ -26,12 +26,12 @@ from .flows import (
     SpectralData,
     Weights,
     _energy,
+    _field_raw,
     _gradient_rows,
     flow_path,
     lyapunov_audit,
-    vector_field,
 )
-from .linalg import hs_norm
+from .linalg import _hs_norms
 from .morse import (
     _REST_COLUMNS,
     _reports,
@@ -78,7 +78,10 @@ def generate_matrix(spec, symplectic=False, n=None):
         evals = tuple(lead) + tuple(1.0 / v for v in lead)
         return SpectralData(evals, np.eye(2 * len(vals)))
     vals.sort(reverse=True)
-    geo = float(np.prod(vals)) ** (1.0 / len(vals))
+    # the mean of the logs only when the product leaves the normal range
+    geo = math.prod(vals)
+    geo = (geo ** (1.0 / len(vals)) if sys.float_info.min <= geo < math.inf
+           else math.exp(math.fsum(map(math.log, vals)) / len(vals)))
     return SpectralData(tuple(v / geo for v in vals), np.eye(len(vals)))
 
 
@@ -322,12 +325,11 @@ def _cmd_flow(cfg):
     a = _spectral(cfg)
     gen = _generator(a, cfg.symplectic)
     x = _start_frame(cfg, a)
-    gmat = gen.matrix()
-    samples = []
-    for t, fr in flow_path(gen, x, FlowConfig(step=cfg.step, horizon=cfg.horizon)):
-        fn = hs_norm(vector_field(gmat, fr))
-        samples.append((t, fr.mat, (fn,), fn < cfg.tolerance))
-    return _path_text(cfg, a, samples, ["field_norm"], {})
+    ts, frames = zip(*flow_path(gen, x, FlowConfig(step=cfg.step, horizon=cfg.horizon)))
+    m = np.stack([fr.mat for fr in frames])
+    fns = _hs_norms(_field_raw(gen.matrix(), m))
+    samples = zip(ts, m, zip(fns.tolist()), (fns < cfg.tolerance).tolist())
+    return _path_text(cfg, a, list(samples), ["field_norm"], {})
 
 
 def _cmd_gradient_flow(cfg):
@@ -335,16 +337,15 @@ def _cmd_gradient_flow(cfg):
     b = _weight_ladder(cfg)
     x = _start_frame(cfg, a)
     direction = -1 if cfg.descend else 1
-    # quad(a, b, fr) with a's matrix and the weights built once; g's sign
-    # (the direction) leaves the bits of hs_norm(quad_gradient(a, b, fr))
-    amat, w = a.matrix(), np.asarray(b.values)
-    samples = []
     config = FlowConfig(step=cfg.step, horizon=cfg.horizon)
-    for t, fr, g in _gradient_rows(a, b, x, config, direction):
-        gn = hs_norm(g)
-        samples.append((t, fr.mat, (_energy(amat, w, fr.mat), gn), gn < cfg.tolerance))
+    ts, frames, gs = zip(*_gradient_rows(a, b, x, config, direction))
+    m = np.stack([fr.mat for fr in frames])
+    # the bits of quad and of hs_norm(quad_gradient), which g's sign keeps
+    values = _energy(a.matrix(), np.asarray(b.values), m).tolist()
+    gns = _hs_norms(np.stack(gs))
+    samples = zip(ts, m, zip(values, gns.tolist()), (gns < cfg.tolerance).tolist())
     meta = {"weights": list(b.values), "direction": direction}
-    return _path_text(cfg, a, samples, ["value", "grad_norm"], meta)
+    return _path_text(cfg, a, list(samples), ["value", "grad_norm"], meta)
 
 
 def _cmd_lyapunov(cfg):

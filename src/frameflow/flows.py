@@ -9,6 +9,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import islice
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     WeightsNotStrict,
 )
 from .frames import KIND_UNITARY, Frame, _act_checked, _invertible
-from .linalg import _j, hs_norm, qr_positive, tri_left
+from .linalg import _hs_norms, _j, _vdots, qr_positive, tri_left
 
 _SIMPLE_GAP = 1e-10
 _MONOTONE_SLACK = 1e-10
@@ -139,8 +140,6 @@ class FlowConfig:
                 raise ValidationError(f"{name} must be positive, got {v}")
             if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v}")
-        if self.step > self.horizon:
-            raise ValidationError("step must not exceed horizon")
         if self.integrator not in _INTEGRATORS:
             raise ValidationError(
                 f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}"
@@ -155,8 +154,9 @@ def _as_sym(a, n):
 
 
 def _field_raw(amat, m):
+    # m is a frame matrix or a stack (..., n, k), as in _energy and _grad_raw
     am = amat @ m
-    return am - m @ tri_left(m.T @ am)
+    return am - m @ tri_left(m.mT @ am)
 
 
 def vector_field(a, x):
@@ -262,7 +262,9 @@ def flow(a, x, t, config=None):
 
 def flow_path(a, x, config):
     """Yield (time, frame) along the flow on the grid of config.step up to
-    config.horizon (endpoint included)."""
+    config.horizon (endpoint included), which the step must not exceed."""
+    if config.step > config.horizon:
+        raise ValidationError("step must not exceed horizon")
     advance = _flow_stepper(a, x, config.horizon, config)
     yield from _walk(x, config.horizon, config.step, advance)
 
@@ -278,17 +280,20 @@ def quad(a, b, x):
 
 def _energy(amat, w, m):
     """quad at the frame matrix m, with a's matrix amat and the weights w
-    as an array."""
+    as an array; a stack of frame matrices gives an array of values."""
     m = m * w
-    return float(np.vdot(amat @ m, m)) / m.shape[1]
+    am = amat @ m
+    if m.ndim == 2:  # one frame: vdot, without the stack's reshapes
+        return float(np.vdot(am, m)) / m.shape[1]
+    return _vdots(am, m) / m.shape[-1]
 
 
 def _grad_raw(amat, bsq, m):
     # tangent projection of the ambient gradient 2 A m b^2; the in-span
     # block m^T g comes out skew, so the output is a frame direction
     am = amat @ (m * bsq)
-    s = m.T @ am
-    return 2.0 * (am - m @ ((s + s.T) / 2.0))
+    s = m.mT @ am
+    return 2.0 * (am - m @ ((s + s.mT) / 2.0))
 
 
 def quad_gradient(a, b, x):
@@ -306,6 +311,8 @@ def _gradient_rows(a, b, x, config, direction):
     """Yield (time, frame, g) along gradient_path, where g is direction
     times the gradient at the frame: the first RK4 stage of the next step,
     which that step takes instead of evaluating the field again."""
+    if config.step > config.horizon:
+        raise ValidationError("step must not exceed horizon")
     if direction not in (1, -1):
         raise ValidationError(f"direction must be +1 or -1, got {direction}")
     amat = _as_sym(a, x.n)
@@ -428,22 +435,16 @@ def lyapunov_audit(a, h, b, x, config):
                 raise PreconditionViolated(
                     "eigenvalues of a and h are not ordered the same way"
                 )
-    amat = a.matrix()
-    hmat = h.matrix()
-    bvec = np.asarray(b.values)
-    bsq = bvec**2
-    rows = []
-    for t, fr in flow_path(h, x, config):
-        m = fr.mat
-        rows.append(
-            AuditRow(
-                t,
-                _energy(amat, bvec, m),
-                hs_norm(_grad_raw(amat, bsq, m)),
-                hs_norm(_field_raw(hmat, m)),
-            )
-        )
-    final = rows[-1]
+    # the rows read only the frames, so each block of the path is one pass
+    amat, hmat, bvec = a.matrix(), h.matrix(), np.asarray(b.values)
+    rows, path = [], flow_path(h, x, config)
+    while block := list(islice(path, 1024)):  # memory stays bounded on long paths
+        ts, frames = zip(*block)
+        m = np.stack([fr.mat for fr in frames])
+        values = _energy(amat, bvec, m).tolist()
+        grads = _hs_norms(_grad_raw(amat, bvec**2, m)).tolist()
+        fields = _hs_norms(_field_raw(hmat, m)).tolist()
+        rows += map(AuditRow, ts, values, grads, fields)
     max_violation = 0.0
     stalls_ok = True
     flat_run = 0
@@ -459,8 +460,8 @@ def lyapunov_audit(a, h, b, x, config):
         else:
             flat_run = 0
     converged = None
-    if final.field_norm < _STATIONARY_NORM:
-        converged = _nearest_eigenframe_word(a.evecs, fr.mat)
+    if rows[-1].field_norm < _STATIONARY_NORM:
+        converged = _nearest_eigenframe_word(a.evecs, m[-1])
     return AuditReport(
         rows=tuple(rows),
         monotone=max_violation <= _MONOTONE_SLACK,

@@ -53,10 +53,11 @@ def _raise_qr_error(err, flag):
 
 
 @lru_cache(maxsize=None)
-def _upper_mask(k):
-    mask = np.triu(np.ones((k, k), dtype=bool))
-    mask.setflags(write=False)
-    return mask
+def _tri_masks(n):
+    """The diagonal and the strictly lower triangle of n x n, read-only."""
+    diag, lower = np.eye(n, dtype=bool), np.tri(n, k=-1, dtype=bool)
+    diag.flags.writeable = lower.flags.writeable = False
+    return diag, lower
 
 
 def qr_positive(x, tol=DEFAULT_TOL):
@@ -75,7 +76,7 @@ def qr_positive(x, tol=DEFAULT_TOL):
                      divide="ignore", under="ignore"):
         tau = _geqrf(a, signature="d->d")
         q = _orgqr(a, tau, signature="dd->d")
-    r = np.where(_upper_mask(k), a[:k], 0.0)
+    r = np.where(_tri_masks(k)[1], 0.0, a[:k])
     d = r.diagonal()
     col_scale = np.maximum(1.0, np.sqrt((x * x).sum(axis=0)))
     bad = np.abs(d) < tol.absolute * col_scale
@@ -89,17 +90,18 @@ def tri_left(x):
     """Triangular bracket: keep the diagonal, symmetrize above it, zero below.
 
     For square x this is triu(x + x^T, 1) + diag(x); it satisfies
-    t + t^T = x + x^T and vanishes on skew-symmetric input.
+    t + t^T = x + x^T and vanishes on skew-symmetric input.  A stack of
+    square matrices (..., n, n) is bracketed matrix by matrix.
     """
-    x = _as_matrix(x)
-    if x.shape[0] != x.shape[1]:
+    x = np.asarray(x, dtype=float) + 0.0  # -0.0 to 0.0, as triu(...) + diag(...) does
+    if x.ndim < 2:
+        raise ShapeMismatch(f"x must be a matrix or a stack of them, got ndim={x.ndim}")
+    if x.shape[-2] != x.shape[-1]:
         raise NonSquare(f"triangular bracket needs a square matrix, got {x.shape}")
-    t = x + x.T
-    for i in range(x.shape[0]):
-        t[i, :i] = 0.0
-        t[i, i] = x[i, i]
-    # adding 0.0 turns -0.0 into 0.0, as the sum triu(...) + diag(...) does
-    t += 0.0
+    diag, lower = _tri_masks(x.shape[-1])
+    t = x + x.mT
+    np.copyto(t, x, where=diag)
+    np.copyto(t, 0.0, where=lower)
     return t
 
 
@@ -136,6 +138,17 @@ def hs_inner(e, f):
 def hs_norm(e):
     m = _as_matrix(e, "e")
     return math.sqrt(max(float(np.vdot(m, m)) / m.shape[1], 0.0))
+
+
+def _vdots(e, f):
+    """np.vdot of each pair of matrices in two stacks (..., n, k), with its
+    bits: the (1, nk) @ (nk, 1) product runs vdot's dot kernel."""
+    return (e.reshape(*e.shape[:-2], 1, -1) @ f.reshape(*f.shape[:-2], -1, 1))[..., 0, 0]
+
+
+def _hs_norms(e):
+    """hs_norm of each matrix in a stack (..., n, k), with its bits."""
+    return np.sqrt(np.maximum(_vdots(e, e) / e.shape[-1], 0.0))
 
 
 def proj_tangent_orth(x, b):

@@ -4,13 +4,15 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -72,6 +74,32 @@ def test_generate_matrix_seeded():
     lead = sp.evals[:3]
     assert all(x > y for x, y in zip(lead, lead[1:]))
     assert min(lead) > max(sp.evals[3:])
+
+
+@pytest.mark.parametrize("vals", [
+    (1e300, 1e150), (1e200, 1e200), (1e-200, 1e-200), (1e-160, 1e-160), (1e308, 1e-5, 3.0),
+])
+def test_generate_matrix_normalizes_lists_whose_product_leaves_the_range(vals):
+    # the product overflows, underflows or goes subnormal; the geometric
+    # mean of the list does neither
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = generate_matrix(vals)
+    assert all(0.0 < v < math.inf for v in a.evals)
+    assert abs(math.fsum(map(math.log, a.evals))) < 1e-12
+    for v, w in zip(a.evals, sorted(vals, reverse=True)):
+        assert v / a.evals[0] == pytest.approx(w / max(vals), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-30, 1e30), min_size=1, max_size=16))
+def test_generate_matrix_keeps_the_bits_of_ordinary_lists(vals):
+    # the product stays normal: the bits of prod ** (1 / n), with numpy's prod
+    vals = sorted(vals, reverse=True)
+    with np.errstate(over="ignore"):
+        prod = float(np.prod(vals))
+    assume(np.finfo(float).tiny <= prod < math.inf)
+    assert generate_matrix(vals).evals == tuple(v / prod ** (1.0 / len(vals)) for v in vals)
 
 
 # -------------------------------------------------------------------- config
@@ -618,6 +646,13 @@ def test_non_finite_times_exit_1(capsys, command, flags, name):
     outerr = capsys.readouterr()
     assert outerr.out == ""
     assert outerr.err == f"error: {name} must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("command", ["flow", "gradient-flow", "lyapunov"])
+def test_step_above_horizon_exit_1(capsys, command):
+    assert main([command, "--n", "3", "--k", "2", "--step", "1", "--horizon", "0.5"]) == 1
+    outerr = capsys.readouterr()
+    assert (outerr.out, outerr.err) == ("", "error: step must not exceed horizon\n")
 
 
 # ------------------------------------------------------------- config files

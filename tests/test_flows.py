@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from frameflow import cli
+from frameflow import cli, flows
 from frameflow.errors import (
     Divergence,
     NotProjector,
@@ -22,6 +22,9 @@ from frameflow.flows import (
     FlowConfig,
     SpectralData,
     Weights,
+    _energy,
+    _field_raw,
+    _grad_raw,
     _gradient_rows,
     default_spectral,
     flow,
@@ -35,7 +38,7 @@ from frameflow.flows import (
     xi_form,
 )
 from frameflow.frames import Frame, Signature, act, flag_distance, to_flag
-from frameflow.linalg import hs_inner, hs_norm, proj_tangent_orth, qr_positive
+from frameflow.linalg import _hs_norms, hs_inner, hs_norm, proj_tangent_orth, qr_positive, tri_left
 
 
 def _random_frame(rng, n, k):
@@ -117,14 +120,34 @@ def test_flow_config_validation():
     FlowConfig(step=0.1, horizon=1.0)
     with pytest.raises(ValidationError):
         FlowConfig(step=0.0, horizon=1.0)
-    with pytest.raises(ValidationError):
-        FlowConfig(step=2.0, horizon=1.0)
+    FlowConfig(step=2.0, horizon=1.0)  # checked where the horizon is walked
     with pytest.raises(ValidationError):
         FlowConfig(step=0.1, horizon=1.0, integrator="euler")
     with pytest.raises(ValidationError, match="horizon must be finite"):
         FlowConfig(step=0.1, horizon=math.inf)
     with pytest.raises(ValidationError, match="step must be finite"):
         FlowConfig(step=math.inf, horizon=math.inf)
+
+
+def test_step_above_horizon_fails_only_where_the_horizon_is_walked():
+    a = default_spectral(3)
+    x = _random_frame(np.random.default_rng(55), 3, 2)
+    b = Weights((2.0, 1.0))
+    short = FlowConfig(step=0.1, horizon=0.05, integrator="rk4")
+    # flow steps to its own time on the grid of config.step
+    assert np.array_equal(
+        flow(a, x, 0.35, short).mat,
+        flow(a, x, 0.35, FlowConfig(step=0.1, integrator="rk4")).mat,
+    )
+    walks = [
+        lambda: next(flow_path(a, x, short)),
+        lambda: next(gradient_path(a, b, x, short)),
+        lambda: gradient_flow(a, b, x, short),
+        lambda: lyapunov_audit(a, a, b, x, FlowConfig(step=0.1, horizon=0.05)),
+    ]
+    for walk in walks:
+        with pytest.raises(ValidationError, match="^step must not exceed horizon$"):
+            walk()
 
 
 # ------------------------------------------------------------- vector field
@@ -387,6 +410,51 @@ def test_quad_shape_mismatch():
         quad(np.eye(3), Weights((1.0, 1.0)), Frame(np.eye(3, 1)))
 
 
+@st.composite
+def _factored(draw):
+    """The paper's coordinates: a unit-determinant A (n <= 6) and B = R D_b S
+    with R an n x k frame, b positive nonincreasing and S orthogonal."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n))
+    assume(np.linalg.cond(a) < 1e6)
+    a[0] *= np.sign(np.linalg.det(a))
+    a /= np.linalg.det(a) ** (1.0 / n)
+    r = qr_positive(rng.standard_normal((n, k))).q
+    b = np.sort(rng.uniform(0.1, 3.0, k))[::-1]
+    return a, r, b, (r * b) @ oracles.random_orthogonal(rng, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_factored())
+def test_hs_norm_is_the_square_root_of_the_expansion_function(case):
+    # ||A B||_hs = Q_{A^t A, b}(R)^{1/2}
+    a, r, b, bmat = case
+    q = quad(a.T @ a, Weights(tuple(b)), Frame(r))
+    assert hs_norm(a @ bmat) ** 2 == pytest.approx(q, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_factored())
+def test_positive_qr_of_the_moved_frame_carries_the_singular_values(case):
+    # with A R = q r (r's diagonal positive), sv(r D_b) = sv(A B)
+    a, r, b, bmat = case
+    q, rr = qr_positive(a @ r)
+    assert (np.diag(rr) > 0.0).all()
+    want = np.linalg.svd(a @ bmat, compute_uv=False)
+    got = np.linalg.svd(rr * b, compute_uv=False)
+    assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_factored())
+def test_q_factor_of_the_moved_frame_is_the_action(case):
+    a, r, _, _ = case
+    q, _ = qr_positive(a @ r)
+    assert np.array_equal(q.view(np.int64), act(a, Frame(r)).mat.view(np.int64))
+
+
 # ------------------------------------------------------------------ gradient
 
 
@@ -507,6 +575,82 @@ def test_gradient_rows_are_the_path_and_its_row_values(capsys, n, k, sp, descend
         cells = [float(c) for c in line.split(",") if c not in ("true", "false")]
         assert cells[:3] == [t, quad(a, b, fr), hs_norm(g)]
         assert np.array_equal(cells[3:], fr.mat.ravel())
+
+
+@st.composite
+def _frame_stacks(draw):
+    """A symmetric matrix, weights and a stack of 1-300 n x k matrices, plain
+    (n <= 12) or paired (ambient 2n, n <= 6), with signed zeros mixed in."""
+    paired = draw(st.booleans())
+    n = draw(st.integers(1, 6 if paired else 12))
+    amb = 2 * n if paired else n
+    k = draw(st.integers(1, n))
+    t = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((t, amb, k))
+    zeros = rng.random(m.shape) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    m[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+    s = rng.standard_normal((amb, amb))
+    return s + s.T, np.sort(rng.uniform(0.1, 2.0, k))[::-1], m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_frame_stacks())
+def test_stacked_row_kernels_are_the_per_frame_bits(case):
+    amat, w, m = case
+
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.int64)
+
+    k = m.shape[-1]
+    pairs = [
+        (tri_left(m[:, :k]), [tri_left(f[:k]) for f in m]),
+        (_field_raw(amat, m), [_field_raw(amat, f) for f in m]),
+        (_grad_raw(amat, w**2, m), [_grad_raw(amat, w**2, f) for f in m]),
+        (_energy(amat, w, m), [_energy(amat, w, f) for f in m]),
+        (_hs_norms(m), [hs_norm(f) for f in m]),
+    ]
+    for stacked, per_frame in pairs:
+        assert np.array_equal(bits(stacked), bits(per_frame))
+
+
+def test_audit_rows_are_the_per_frame_values_across_blocks():
+    # 1,201 rows: the path is stacked in two blocks
+    sd = default_spectral(4)
+    h = SpectralData(tuple(v / 2.0 for v in sd.evals), sd.evecs)
+    x = _random_frame(np.random.default_rng(56), 4, 2)
+    b = Weights((1.0, 0.5))
+    config = FlowConfig(step=0.01, horizon=12.0)
+    rows = lyapunov_audit(sd, h, b, x, config).rows
+    path = list(flow_path(h, x, config))
+    assert len(rows) == len(path) == 1201
+    for row, (t, fr) in zip(rows, path):
+        want = (t, quad(sd, b, fr), hs_norm(quad_gradient(sd, b, fr)), hs_norm(vector_field(h, fr)))
+        assert row == want
+
+
+def test_path_rows_bracket_once_per_path(monkeypatch, tmp_path):
+    # the rows of an audit and of a flow run are one stacked pass, so the
+    # number of brackets does not grow with the path
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return tri_left(x)
+
+    monkeypatch.setattr(flows, "tri_left", counted)
+    sd = default_spectral(4)
+    x = _random_frame(np.random.default_rng(54), 4, 2)
+    counts = []
+    for horizon in (0.5, 2.0):
+        calls.clear()
+        lyapunov_audit(sd, sd, Weights((1.0, 0.5)), x, FlowConfig(step=0.01, horizon=horizon))
+        audit = len(calls)
+        calls.clear()
+        argv = ["flow", "--n", "4", "--k", "2", "--horizon", str(horizon)]
+        assert cli.main([*argv, "--output", str(tmp_path / "flow.csv")]) == 0
+        counts.append((audit, len(calls)))
+    assert counts == [(1, 1), (1, 1)]
 
 
 def test_drift_norms_are_linalg_norm_bits():

@@ -15,6 +15,8 @@ from frameflow.errors import (
 )
 from frameflow.linalg import (
     Tolerance,
+    _hs_norms,
+    _vdots,
     hs_inner,
     hs_norm,
     proj_normal_orth,
@@ -164,6 +166,10 @@ def test_tri_left_bitwise_equals_triu_formula():
 def test_tri_left_nonsquare():
     with pytest.raises(NonSquare):
         tri_left(np.ones((2, 3)))
+    with pytest.raises(NonSquare):
+        tri_left(np.ones((4, 2, 3)))
+    with pytest.raises(ShapeMismatch):
+        tri_left(np.ones(3))
 
 
 # ----------------------------------------------------------------- tangent_qr
@@ -267,6 +273,26 @@ def test_hs_norm_bitwise_equals_inner_formula():
         assert bits(hs_norm(m)) == bits(want)
     with pytest.raises(ShapeMismatch):
         hs_norm(np.ones(3))
+
+
+def test_stacked_vdot_is_vdot_bits():
+    # the (1, nk) @ (nk, 1) product runs vdot's dot kernel at every length,
+    # the tails of the kernel's blocks included
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+    rng = np.random.default_rng(12)
+    for nk in range(1, 700):
+        k = int(rng.choice([d for d in range(1, 7) if nk % d == 0]))
+        for t in (1, 3, 301) if nk % 50 in (0, 1) else (1, 3):
+            e, f = rng.standard_normal((2, t, nk // k, k)) * 10.0 ** rng.uniform(-150, 150)
+            e[rng.random(e.shape) < 0.1] = -0.0
+            assert bits(_vdots(e, f)) == bits([np.vdot(a, b) for a, b in zip(e, f)])
+            assert bits(_hs_norms(e)) == bits([hs_norm(a) for a in e])
+    # matrices stored column-major are read in vdot's (row-major) order too
+    e, f = rng.standard_normal((2, 5, 4, 3))
+    f = f.mT.copy().mT
+    assert bits(_vdots(e, f)) == bits([np.vdot(a, b) for a, b in zip(e, f)])
 
 
 # ---------------------------------------------------------------- projections
