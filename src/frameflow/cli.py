@@ -82,6 +82,10 @@ def generate_matrix(spec, symplectic=False, n=None):
     geo = math.prod(vals)
     geo = (geo ** (1.0 / len(vals)) if sys.float_info.min <= geo < math.inf
            else math.exp(math.fsum(map(math.log, vals)) / len(vals)))
+    for v in vals:
+        if not 0.0 < v / geo < math.inf:
+            raise ValidationError(f"eigenvalue {v!r} {'under' if v < geo else 'over'}flows"
+                                  " when the list is normalized to determinant one")
     return SpectralData(tuple(v / geo for v in vals), np.eye(len(vals)))
 
 

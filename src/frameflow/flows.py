@@ -3,7 +3,8 @@ and the Lyapunov audit that certifies monotonicity along a companion flow.
 
 The gradient reported with each row of a gradient path is the first RK4
 stage of the step that leaves the row, so each row costs one evaluation of
-the gradient field, not two."""
+the gradient field, not two.  The steppers build their frames without
+re-validation, as a retract makes frames; the public constructors validate."""
 
 import json
 import math
@@ -24,7 +25,7 @@ from .errors import (
     WeightsNotStrict,
 )
 from .frames import KIND_UNITARY, Frame, _act_checked, _invertible
-from .linalg import _hs_norms, _j, _vdots, qr_positive, tri_left
+from .linalg import _hs_norms, _j, _qr_q, _vdots, tri_left
 
 _SIMPLE_GAP = 1e-10
 _MONOTONE_SLACK = 1e-10
@@ -173,23 +174,24 @@ def _iso_orthonormalize(m):
     n2, k = m.shape
     j = _j(n2 // 2)
     q = np.zeros_like(m)
+    jq = []  # j @ q[:, t] once column t is done, contiguous as dot's bits need
     for i in range(k):
         w = m[:, i].copy()
         for t in range(i):
             w -= (q[:, t] @ w) * q[:, t]
-            jq = j @ q[:, t]
-            w -= (jq @ w) * jq
-        nrm = np.linalg.norm(w)
+            w -= (jq[t] @ w) * jq[t]
+        nrm = math.sqrt(w @ w)  # np.linalg.norm's bits
         if nrm < 1e-8:
             raise RankDeficient(f"column {i} collapsed during re-orthonormalization")
         q[:, i] = w / nrm
+        jq.append(j @ q[:, i])
     return q
 
 
 def _retract(m, kind):
     if kind == KIND_UNITARY:
         return _iso_orthonormalize(m)
-    return qr_positive(m).q
+    return _qr_q(m)[0]
 
 
 def _walk(x, total, step, advance):
@@ -219,10 +221,12 @@ def _rk4_step(fieldfn, x, dt, k1=None):
     k4 = fieldfn(m + dt * k3)
     m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # the bits of np.linalg.norm(m, axis=0) without its wrapper
-    drift = np.abs(np.sqrt(np.add.reduce(m * m, axis=0)) - 1.0).max()
-    if not drift <= _DRIFT_LIMIT:  # NaN included
+    norms = np.sqrt(np.add.reduce(m * m, axis=0))
+    if not all(abs(v - 1.0) <= _DRIFT_LIMIT for v in norms.tolist()):  # NaN included
+        drift = np.abs(norms - 1.0).max()
         raise Divergence(f"column norms drifted by {drift:.3e}; reduce the step")
-    return Frame(_retract(m, x.kind), x.kind)
+    # finite columns of norm near one: the retract's output is a frame
+    return Frame._trusted(_retract(m, x.kind), x.kind)
 
 
 def _flow_stepper(a, x, t, config):
@@ -291,9 +295,15 @@ def _energy(amat, w, m):
 def _grad_raw(amat, bsq, m):
     # tangent projection of the ambient gradient 2 A m b^2; the in-span
     # block m^T g comes out skew, so the output is a frame direction
-    am = amat @ (m * bsq)
+    return 2.0 * _grad_field(amat, bsq, m)
+
+
+def _grad_field(amat, c, m):
+    # a path folds its constants into c = (2 * direction) * b^2 once: exact short of
+    # overflow, so the bits are direction times _grad_raw's, up to the sign of zero
+    am = amat @ (m * c)
     s = m.mT @ am
-    return 2.0 * (am - m @ ((s + s.mT) / 2.0))
+    return am - m @ ((s + s.mT) / 2.0)
 
 
 def quad_gradient(a, b, x):
@@ -318,10 +328,7 @@ def _gradient_rows(a, b, x, config, direction):
     amat = _as_sym(a, x.n)
     if b.k != x.k:
         raise ShapeMismatch(f"{b.k} weights for a frame with k={x.k}")
-    bsq = np.asarray(b.values) ** 2
-
-    def field(m):
-        return direction * _grad_raw(amat, bsq, m)
+    field = partial(_grad_field, amat, (2.0 * direction) * np.asarray(b.values) ** 2)
 
     def advance(y, dt):
         return _rk4_step(field, y, dt, g)

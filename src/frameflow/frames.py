@@ -16,7 +16,7 @@ from .errors import (
     Singular,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, _j, hs_norm, qr_positive
+from .linalg import DEFAULT_TOL, _j, _qr_q, hs_norm
 
 KIND_ORTHOGONAL = "orthogonal"
 KIND_UNITARY = "unitary"
@@ -71,6 +71,14 @@ class Frame:
         self._mat = m
         self._kind = kind
 
+    @classmethod
+    def _trusted(cls, m, kind):
+        """A frame on m, one of the kind by construction: unchecked, m made read-only."""
+        x = object.__new__(cls)
+        m.setflags(write=False)
+        x._mat, x._kind = m, kind
+        return x
+
     @property
     def mat(self):
         return self._mat
@@ -115,10 +123,14 @@ def _invertible(a, n, tol=DEFAULT_TOL):
 
 
 def _act_checked(a, x, tol=DEFAULT_TOL):
-    """act for a matrix that already passed _invertible, so that repeated
-    steps by one matrix check it once."""
-    q, _ = qr_positive(a @ x.mat, tol)
-    return Frame(q, x.kind)
+    """act for a matrix that passed _invertible once for repeated steps; a
+    finite q is orthonormal by construction, but only a symplectic a keeps isotropy."""
+    q = _qr_q(a @ x.mat, tol)[0]
+    if not np.isfinite(q).all():  # qr_positive lets NaN through
+        raise ValidationError("columns are not orthonormal")
+    if x.kind == KIND_UNITARY and not is_isotropic(q):
+        raise NotUnitaryFrame("columns are not pairwise isotropic")
+    return Frame._trusted(q, x.kind)
 
 
 def truncate(x, k2):

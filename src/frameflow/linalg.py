@@ -71,19 +71,26 @@ def qr_positive(x, tol=DEFAULT_TOL):
     n, k = x.shape
     if k > n:
         raise ShapeMismatch(f"need at least as many rows as columns, got {n}x{k}")
+    q, a, sign = _qr_q(x, tol)
+    return QRPair(q, np.where(_tri_masks(k)[1], 0.0, a[:k]) * sign[:, None])
+
+
+def _qr_q(x, tol=DEFAULT_TOL):
+    """qr_positive's q for a float n x k matrix x (k <= n), without forming r;
+    also returns geqrf's output a (r unsigned, on and above its diagonal) and the signs."""
     a = x.copy()  # geqrf overwrites it with r and the Householder vectors
     with np.errstate(call=_raise_qr_error, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         tau = _geqrf(a, signature="d->d")
         q = _orgqr(a, tau, signature="dd->d")
-    r = np.where(_tri_masks(k)[1], 0.0, a[:k])
-    d = r.diagonal()
+    d = a.diagonal()
     col_scale = np.maximum(1.0, np.sqrt((x * x).sum(axis=0)))
     bad = np.abs(d) < tol.absolute * col_scale
     if bad.any():
         raise RankDeficient(f"columns {np.nonzero(bad)[0].tolist()} numerically dependent")
     sign = np.where(d < 0.0, -1.0, 1.0)
-    return QRPair(q * sign, r * sign[:, None])
+    q *= sign
+    return q, a, sign
 
 
 def tri_left(x):

@@ -59,6 +59,31 @@ def iso_gs(x, j):
     return q
 
 
+def iso_orthonormalize_loop(m, j):
+    """The isotropic re-orthonormalization retract as a plain double loop,
+    forming j @ q[:, t] anew for every pair (i, t).
+
+    Unlike the other oracles this one is the same algorithm as the package's
+    (flows._iso_orthonormalize), kept in its first form as the bit reference
+    for the retract's loop.  A collapsed column raises ZeroDivisionError
+    with the retract's RankDeficient message.
+    """
+    m = np.array(m, dtype=float)
+    n2, k = m.shape
+    q = np.zeros_like(m)
+    for i in range(k):
+        w = m[:, i].copy()
+        for t in range(i):
+            w -= (q[:, t] @ w) * q[:, t]
+            jq = j @ q[:, t]
+            w -= (jq @ w) * jq
+        nrm = np.linalg.norm(w)
+        if nrm < 1e-8:
+            raise ZeroDivisionError(f"column {i} collapsed during re-orthonormalization")
+        q[:, i] = w / nrm
+    return q
+
+
 def lstsq_tangent_projection(x, b, j=None):
     """Project b onto the tangent space at frame x via pure least squares.
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -100,6 +101,21 @@ def test_generate_matrix_keeps_the_bits_of_ordinary_lists(vals):
         prod = float(np.prod(vals))
     assume(np.finfo(float).tiny <= prod < math.inf)
     assert generate_matrix(vals).evals == tuple(v / prod ** (1.0 / len(vals)) for v in vals)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1e300 1e300 1e-300", "eigenvalue 1e-300 underflows"),
+    ("1e300 1e-300 1e-300", "eigenvalue 1e+300 overflows"),
+])
+def test_generate_matrix_names_the_value_that_normalizing_loses(text, message):
+    # the geometric mean is representable, but one normalized value is not:
+    # the error names the value as given, not the 0.0 or inf it became
+    message += " when the list is normalized to determinant one"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        generate_matrix([float(v) for v in text.split()])
+    for command in ("flow", "lyapunov", "gradient-flow", "morse", "certify"):
+        argv = [command, "--n", "3", "--k", "1", "--eigenvalues", text]
+        assert _call(argv) == (1, "", f"error: {message}\n")
 
 
 # -------------------------------------------------------------------- config

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from frameflow.errors import (
     Divergence,
     NotProjector,
     PreconditionViolated,
+    RankDeficient,
     ShapeMismatch,
     Singular,
     ValidationError,
@@ -24,8 +26,11 @@ from frameflow.flows import (
     Weights,
     _energy,
     _field_raw,
+    _grad_field,
     _grad_raw,
     _gradient_rows,
+    _iso_orthonormalize,
+    _rk4_step,
     default_spectral,
     flow,
     flow_path,
@@ -38,7 +43,15 @@ from frameflow.flows import (
     xi_form,
 )
 from frameflow.frames import Frame, Signature, act, flag_distance, to_flag
-from frameflow.linalg import _hs_norms, hs_inner, hs_norm, proj_tangent_orth, qr_positive, tri_left
+from frameflow.linalg import (
+    _hs_norms,
+    hs_inner,
+    hs_norm,
+    proj_tangent_orth,
+    qr_positive,
+    symplectic_j,
+    tri_left,
+)
 
 
 def _random_frame(rng, n, k):
@@ -350,8 +363,6 @@ def test_flow_grid_contract(n, k, seed, step, nfull, frac):
 
 def test_flow_preserves_unitary_frames():
     rng = np.random.default_rng(41)
-    from frameflow.linalg import symplectic_j
-
     n = 2
     j = symplectic_j(n)
     x = Frame(oracles.iso_gs(rng.standard_normal((2 * n, 2)), j), kind="unitary")
@@ -361,6 +372,112 @@ def test_flow_preserves_unitary_frames():
     z = flow(sd, x, 2.0, FlowConfig(step=1e-2, horizon=2.0, integrator="rk4"))
     assert z.kind == "unitary"
     assert np.max(np.abs(y.mat - z.mat)) < 1e-6
+
+
+@st.composite
+def _flow_cases(draw):
+    """Spectral data, strict weights and a frame, plain with n <= 8 and k < n
+    or paired with n <= 4; a paired spectrum is a +/- pair on an orthogonal
+    symplectic basis, so that its exponential keeps frames isotropic."""
+    paired = draw(st.booleans())
+    n = draw(st.integers(1, 4) if paired else st.integers(2, 8))
+    k = draw(st.integers(1, n) if paired else st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.uniform(-1.0, 1.0, n)
+    if paired:
+        sd = SpectralData((*lam, *-lam), oracles.random_orthogonal_symplectic(rng, n))
+        x = Frame(oracles.iso_gs(rng.standard_normal((2 * n, k)), symplectic_j(n)), "unitary")
+    else:
+        sd = SpectralData(tuple(lam), oracles.random_orthogonal(rng, n))
+        x = _random_frame(rng, n, k)
+    b = Weights(tuple(np.sort(rng.uniform(0.2, 1.5, k))[::-1]))
+    return sd, b, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flow_cases())
+def test_path_frames_pass_the_frame_check(case):
+    # the steppers build their frames unchecked; every frame a path yields
+    # still passes Frame's full check, is orthonormal (and isotropic) to
+    # rounding, far inside that check's tolerance, and lies near the last
+    sd, b, x = case
+    cfg = FlowConfig(step=0.05, horizon=1.0)
+    audited = []
+
+    def recorded(*args):
+        for t, fr in flow_path(*args):
+            audited.append(fr)
+            yield t, fr
+
+    with mock.patch.object(flows, "flow_path", recorded):
+        lyapunov_audit(sd, sd, b, x, cfg)
+    rk4 = FlowConfig(cfg.step, cfg.horizon, integrator="rk4")
+    paths = [audited, list(flow_path(sd, x, cfg)), list(flow_path(sd, x, rk4))]
+    paths += [list(gradient_path(sd, b, x, rk4, d)) for d in (1, -1)]
+    j = symplectic_j(x.n // 2) if x.kind == "unitary" else None
+    for path in paths:
+        assert len(path) == 21
+        last = x.mat
+        for fr in (p if isinstance(p, Frame) else p[1] for p in path):
+            assert np.max(np.abs(fr.mat - last)) < 0.5
+            last = fr.mat
+            assert Frame(fr.mat, fr.kind).kind == x.kind
+            assert not fr.mat.flags.writeable
+            assert np.max(np.abs(fr.mat.T @ fr.mat - np.eye(x.k))) < 1e-12
+            if j is not None:
+                assert np.max(np.abs(fr.mat.T @ j @ fr.mat)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flow_cases(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_flow_semigroup_law(case, s, t):
+    sd, _, x = case
+    y = flow(sd, flow(sd, x, s), t)
+    assert y.kind == x.kind
+    assert np.max(np.abs(y.mat - flow(sd, x, s + t).mat)) < 1e-9
+
+
+@pytest.mark.parametrize("x", [Frame(np.eye(3, 2)), Frame(np.eye(4, 2), "unitary")])
+def test_rk4_step_with_a_nan_stage_is_a_divergence(x):
+    stages = []
+
+    def field(m):
+        stages.append(m)
+        return np.full_like(m, np.nan) if len(stages) == 2 else np.zeros_like(m)
+
+    with pytest.raises(Divergence) as err:
+        _rk4_step(field, x, 0.01)
+    assert str(err.value) == "column norms drifted by nan; reduce the step"
+    assert len(stages) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["near", "random", "zeros", "collapse"]),
+)
+def test_iso_orthonormalize_keeps_the_bits_of_its_loop(n, k, seed, shape):
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    j = symplectic_j(n)
+    m = rng.standard_normal((2 * n, k))
+    if shape == "near":  # what an RK4 step hands the retract
+        m = oracles.iso_gs(m, j) + 1e-3 * m
+    elif shape == "zeros":
+        m[rng.random(m.shape) < 0.4] = 0.0
+    elif shape == "collapse":  # a zero column, or one in an earlier span
+        i = int(rng.integers(0, k))
+        prev = m[:, int(rng.integers(0, i))] if i else np.zeros(2 * n)
+        m[:, i] = [prev, -2.0 * prev, j @ prev][int(rng.integers(0, 3))]
+    try:
+        want = oracles.iso_orthonormalize_loop(m, j)
+    except ZeroDivisionError as exc:
+        with pytest.raises(RankDeficient, match=f"^{exc}$"):
+            _iso_orthonormalize(m)
+        return
+    assert np.array_equal(_iso_orthonormalize(m).view(np.int64), want.view(np.int64))
 
 
 # ------------------------------------------------------------ quadratic form
@@ -612,6 +729,20 @@ def test_stacked_row_kernels_are_the_per_frame_bits(case):
     ]
     for stacked, per_frame in pairs:
         assert np.array_equal(bits(stacked), bits(per_frame))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_frame_stacks(), st.lists(st.floats(1e-3, 1e3), min_size=12, max_size=12))
+def test_folded_gradient_field_is_the_signed_gradient(case, weights):
+    # a path folds 2 * direction into the column scales once; scaling by a
+    # power of two is exact, so the bits match up to the sign of zero
+    amat, _, m = case
+    bsq = np.array(weights[: m.shape[-1]]) ** 2
+    for frames in (m, m[0]):
+        for direction in (1, -1):
+            got = _grad_field(amat, (2.0 * direction) * bsq, frames) + 0.0
+            want = direction * _grad_raw(amat, bsq, frames) + 0.0
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_audit_rows_are_the_per_frame_values_across_blocks():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from frameflow.errors import (
@@ -16,6 +18,7 @@ from frameflow.errors import (
 from frameflow.frames import (
     Frame,
     Signature,
+    _act_checked,
     act,
     flag_distance,
     frame_from_json,
@@ -161,17 +164,48 @@ def test_act_positive_diagonal_fixes_axis_frame():
     assert np.allclose(y.mat, x.mat, atol=1e-12)
 
 
-def test_act_action_law():
-    rng = np.random.default_rng(21)
-    for _ in range(30):
-        n = int(rng.integers(2, 7))
-        k = int(rng.integers(1, n))
-        x = _random_frame(rng, n, k)
-        a = oracles.random_spd(rng, n)
-        b = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
-        lhs = act(b, act(a, x)).mat
-        rhs = act(b @ a, x).mat
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
+@st.composite
+def _two_moves(draw):
+    """A frame, plain with n <= 8 and k < n or paired with n <= 4, and two
+    invertible matrices that keep its kind (symplectic ones when paired)."""
+    paired = draw(st.booleans())
+    n = draw(st.integers(1, 4) if paired else st.integers(2, 8))
+    k = draw(st.integers(1, n) if paired else st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if paired:
+        x = _random_unitary_frame(rng, n, k)
+        return x, oracles.random_symplectic(rng, n)[0], oracles.random_symplectic(rng, n)[0]
+    a, b = rng.standard_normal((2, n, n)) + 2.0 * np.eye(n)
+    assume(max(np.linalg.cond(a), np.linalg.cond(b)) < 1e4)
+    return _random_frame(rng, n, k), a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_moves())
+def test_act_is_a_left_action(case):
+    x, a, b = case
+    assert np.max(np.abs(act(np.eye(x.n), x).mat - x.mat)) < 1e-12
+    lhs = act(b, act(a, x))
+    assert lhs.kind == x.kind
+    assert np.max(np.abs(lhs.mat - act(b @ a, x).mat)) < 1e-9
+
+
+def test_act_step_rejects_a_product_that_turns_nan():
+    # qr_positive lets NaN through; the step's finiteness guard stops it
+    # with the error the Gram check raised
+    for x in (Frame(np.eye(3, 2)), Frame(np.eye(4, 2), "unitary")):
+        a = np.eye(x.n)
+        a[1, 1] = np.nan
+        with pytest.raises(ValidationError, match="^columns are not orthonormal$"):
+            _act_checked(a, x)
+
+
+def test_act_keeps_the_isotropy_check_for_unitary_frames():
+    # only a symplectic matrix keeps a unitary frame isotropic
+    rng = np.random.default_rng(25)
+    x = _random_unitary_frame(rng, 2, 2)
+    with pytest.raises(NotUnitaryFrame):
+        act(oracles.random_spd(rng, 4), x)
 
 
 def test_act_shape_mismatch():
