@@ -74,6 +74,10 @@ def generate_matrix(spec, symplectic=False, n=None):
         if not v > 0.0:
             raise NonPositiveEigenvalue(f"eigenvalues must be positive, got {v}")
     if symplectic:
+        for v in vals:
+            if not 0.0 < 1.0 / v < math.inf:
+                raise ValidationError(f"eigenvalue {v!r} cannot be paired with its reciprocal,"
+                                      f" which {'over' if v < 1.0 else 'under'}flows")
         lead = sorted((max(v, 1.0 / v) for v in vals), reverse=True)
         evals = tuple(lead) + tuple(1.0 / v for v in lead)
         return SpectralData(evals, np.eye(2 * len(vals)))
@@ -306,12 +310,12 @@ def _path_text(cfg, a, samples, value_cols, meta):
     the command's own top-level fields."""
     if cfg.format == "csv":
         amb, k = samples[0][1].shape
-        fmt = "{:.17g}".format
         cols = [f"x_{r}_{c}" for r in range(amb) for c in range(k)]
         lines = [",".join(["t", *value_cols, "stationary", *cols])]
+        # one template per row: %.17g per number, %s for stationary
+        row = ",".join(["%.17g"] * (1 + len(value_cols)) + ["%s"] + ["%.17g"] * len(cols))
         lines.extend(
-            ",".join([fmt(t), *map(fmt, vals), "true" if still else "false",
-                      *map(fmt, mat.ravel().tolist())])
+            row % (t, *vals, "true" if still else "false", *mat.ravel().tolist())
             for t, mat, vals, still in samples
         )
         return _csv(lines)

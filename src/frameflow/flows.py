@@ -4,7 +4,13 @@ and the Lyapunov audit that certifies monotonicity along a companion flow.
 The gradient reported with each row of a gradient path is the first RK4
 stage of the step that leaves the row, so each row costs one evaluation of
 the gradient field, not two.  The steppers build their frames without
-re-validation, as a retract makes frames; the public constructors validate."""
+re-validation, as a retract makes frames; the public constructors validate.
+
+The exact integrator checks its steps per block of 64 steps by one exp(dt a):
+each step tests its Q factor for finiteness, the rank and isotropy tests
+run once per block, and a block's frames come out once it is checked.  So
+flow_path can run up to 64 steps ahead of its consumer, and it still yields
+exactly the rows before a failing step, then raises that step's error."""
 
 import json
 import math
@@ -24,7 +30,7 @@ from .errors import (
     ValidationError,
     WeightsNotStrict,
 )
-from .frames import KIND_UNITARY, Frame, _act_checked, _invertible
+from .frames import KIND_UNITARY, Frame, _act_steps, _invertible
 from .linalg import _hs_norms, _j, _qr_q, _vdots, tri_left
 
 _SIMPLE_GAP = 1e-10
@@ -35,6 +41,8 @@ _STALL_FACTOR = 0.1
 _STALL_WINDOW = 50
 _STATIONARY_NORM = 1e-6
 _DRIFT_LIMIT = 1e-3
+# steps of the exact integrator checked as one block
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -194,21 +202,25 @@ def _retract(m, kind):
     return _qr_q(m)[0]
 
 
-def _walk(x, total, step, advance):
+def _walk(x, total, step, stepper):
     """Yield (t, frame) at t = 0 and after each step of the signed grid to
     total: floor(|total|/step + 1e-9) full steps, then a remainder step when
-    |total| - nsteps*step exceeds 1e-12.  advance(x, dt) takes one step."""
+    |total| - nsteps*step exceeds 1e-12.  stepper is (advance, block):
+    advance(x, dt, count) yields the frames of count <= block steps of dt."""
+    advance, block = stepper
     span = abs(total)
     nsteps = int(math.floor(span / step + 1e-9))
     rem = span - nsteps * step
     dt = -step if total < 0.0 else step
     yield 0.0, x
-    for i in range(1, nsteps + 1):
-        x = advance(x, dt)
-        yield i * dt, x
+    i = 0
+    while i < nsteps:
+        for x in advance(x, dt, min(block, nsteps - i)):
+            i += 1
+            yield i * dt, x
     if rem > 1e-12:
-        x = advance(x, -rem if total < 0.0 else rem)
-        yield total, x
+        for x in advance(x, -rem if total < 0.0 else rem, 1):
+            yield total, x
 
 
 def _rk4_step(fieldfn, x, dt, k1=None):
@@ -230,7 +242,7 @@ def _rk4_step(fieldfn, x, dt, k1=None):
 
 
 def _flow_stepper(a, x, t, config):
-    """The entry check of flow and flow_path, then their step function."""
+    """The entry check of flow and flow_path, then their stepper for _walk."""
     if not isinstance(a, SpectralData):
         raise ValidationError("flow needs SpectralData to exponentiate")
     if a.n != x.n:
@@ -238,12 +250,12 @@ def _flow_stepper(a, x, t, config):
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t}")
     if config is not None and config.integrator == "rk4":
-        amat = a.matrix()
-        return partial(_rk4_step, lambda m: _field_raw(amat, m))
+        field = partial(_field_raw, a.matrix())
+        return lambda y, dt, count: (_rk4_step(field, y, dt),), 1
     # each exp(dt a) is checked for invertibility once, just before its
-    # first step, so Singular still comes after the rows already yielded
+    # first block, so Singular still comes after the rows already yielded
     g = cache(lambda dt: _invertible(a.exp(dt), x.n))
-    return lambda y, dt: _act_checked(g(dt), y)
+    return lambda y, dt, count: _act_steps(g(dt), y, count), _BLOCK
 
 
 def flow(a, x, t, config=None):
@@ -254,12 +266,12 @@ def flow(a, x, t, config=None):
     the vector field on the grid of config.step, as flow_path does, and
     re-orthonormalizes after every step.
     """
-    advance = _flow_stepper(a, x, t, config)
+    stepper = _flow_stepper(a, x, t, config)
     if t == 0.0:
         return x
     rk4 = config is not None and config.integrator == "rk4"
     step = config.step if rk4 else abs(t) / math.ceil(abs(t))
-    for _, x in _walk(x, t, step, advance):
+    for _, x in _walk(x, t, step, stepper):
         pass
     return x
 
@@ -269,8 +281,8 @@ def flow_path(a, x, config):
     config.horizon (endpoint included), which the step must not exceed."""
     if config.step > config.horizon:
         raise ValidationError("step must not exceed horizon")
-    advance = _flow_stepper(a, x, config.horizon, config)
-    yield from _walk(x, config.horizon, config.step, advance)
+    stepper = _flow_stepper(a, x, config.horizon, config)
+    yield from _walk(x, config.horizon, config.step, stepper)
 
 
 def quad(a, b, x):
@@ -330,10 +342,10 @@ def _gradient_rows(a, b, x, config, direction):
         raise ShapeMismatch(f"{b.k} weights for a frame with k={x.k}")
     field = partial(_grad_field, amat, (2.0 * direction) * np.asarray(b.values) ** 2)
 
-    def advance(y, dt):
-        return _rk4_step(field, y, dt, g)
+    def advance(y, dt, count):
+        return (_rk4_step(field, y, dt, g),)
 
-    for t, x in _walk(x, config.horizon, config.step, advance):
+    for t, x in _walk(x, config.horizon, config.step, (advance, 1)):
         g = field(x.mat)
         yield t, x, g
 

@@ -2,6 +2,7 @@
 them, truncation to shorter frames, and the induced flags."""
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,7 +17,7 @@ from .errors import (
     Singular,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, _j, _qr_q, hs_norm
+from .linalg import DEFAULT_TOL, _dependent, _householder, _j, _rank_error, hs_norm
 
 KIND_ORTHOGONAL = "orthogonal"
 KIND_UNITARY = "unitary"
@@ -65,7 +66,7 @@ class Frame:
         if kind == KIND_UNITARY:
             if n % 2:
                 raise OddAmbient(f"unitary frames need even ambient dimension, got {n}")
-            if np.max(np.abs(m.T @ _j(n // 2) @ m)) > _FRAME_ATOL:
+            if _isotropy_defect(m) > _FRAME_ATOL:
                 raise NotUnitaryFrame("columns are not pairwise isotropic")
         m.setflags(write=False)
         self._mat = m
@@ -105,7 +106,8 @@ def act(a, x, tol=DEFAULT_TOL):
 
     This is a left action: act(b, act(a, x)) == act(b @ a, x).
     """
-    return _act_checked(_invertible(a, x.n, tol), x, tol)
+    (y,) = _act_steps(_invertible(a, x.n, tol), x, 1, tol)
+    return y
 
 
 def _invertible(a, n, tol=DEFAULT_TOL):
@@ -122,15 +124,52 @@ def _invertible(a, n, tol=DEFAULT_TOL):
     return a
 
 
-def _act_checked(a, x, tol=DEFAULT_TOL):
-    """act for a matrix that passed _invertible once for repeated steps; a
-    finite q is orthonormal by construction, but only a symplectic a keeps isotropy."""
-    q = _qr_q(a @ x.mat, tol)[0]
-    if not np.isfinite(q).all():  # qr_positive lets NaN through
-        raise ValidationError("columns are not orthonormal")
-    if x.kind == KIND_UNITARY and not is_isotropic(q):
+def _act_steps(a, x, count, tol=DEFAULT_TOL):
+    """Yield the count frames of the steps y -> act(a, y) from x, for an a
+    that passed _invertible, and raise act's error at the step it fails.
+
+    The steps run as one block.  Each one tests its q for finiteness, so
+    no step runs on a NaN frame.  The rank test, and the isotropy test of
+    unitary frames, run once on the block's stacks, in act's order per
+    step: rank, finiteness, isotropy.  The frames before the first failing
+    step come out, then its error; an error raised while stepping comes
+    after the frames of the steps before it, once they are checked.
+    """
+    ys = np.empty((count, *x.mat.shape))  # each step's a @ q, for the rank test
+    q, diags, qs, err = x.mat, [], [], None
+    try:
+        for y in ys:
+            np.matmul(a, q, out=y)
+            q, r = _householder(y)
+            d = r.diagonal()
+            np.negative(q, out=q, where=d < 0.0)  # the positive-diagonal signs
+            diags.append(d)
+            # qr_positive lets NaN through; a finite q is orthogonal, so the
+            # sum of its squares is finite exactly when q is
+            if not math.isfinite(np.vdot(q, q)):
+                break
+            qs.append(q)
+    except Exception as exc:
+        err = exc
+    done = len(diags)
+    with np.errstate(over="ignore"):  # an overflowed column is rank-deficient
+        bad = _dependent(np.array(diags).reshape(done, x.k),
+                         (ys[:done] * ys[:done]).sum(axis=1), tol)
+    fail = bad.any(axis=1)
+    fail[len(qs):] = True  # the step whose q is not finite
+    if x.kind == KIND_UNITARY and qs:
+        fail[:len(qs)] |= ~(_isotropy_defect(np.array(qs)) <= _FRAME_ATOL)
+    stop = int(fail.argmax()) if fail.any() else done
+    for q in qs[:stop]:
+        yield Frame._trusted(q, x.kind)
+    if stop < done:
+        if bad[stop].any():
+            raise _rank_error(bad[stop])
+        if stop == len(qs):
+            raise ValidationError("columns are not orthonormal")
         raise NotUnitaryFrame("columns are not pairwise isotropic")
-    return Frame._trusted(q, x.kind)
+    if err is not None:
+        raise err
 
 
 def truncate(x, k2):
@@ -196,7 +235,13 @@ def is_isotropic(x, atol=_FRAME_ATOL):
     n = m.shape[0]
     if n % 2:
         raise OddAmbient(f"ambient dimension {n} is odd")
-    return bool(np.max(np.abs(m.T @ _j(n // 2) @ m)) <= atol)
+    return bool(_isotropy_defect(m) <= atol)
+
+
+def _isotropy_defect(m):
+    """The largest |m^T j m| entry of a matrix with an even number of rows,
+    or of each matrix in a stack of them."""
+    return np.abs(m.mT @ _j(m.shape[-2] // 2) @ m).max(axis=(-2, -1))
 
 
 def frame_to_json(x):

@@ -78,19 +78,36 @@ def qr_positive(x, tol=DEFAULT_TOL):
 def _qr_q(x, tol=DEFAULT_TOL):
     """qr_positive's q for a float n x k matrix x (k <= n), without forming r;
     also returns geqrf's output a (r unsigned, on and above its diagonal) and the signs."""
-    a = x.copy()  # geqrf overwrites it with r and the Householder vectors
-    with np.errstate(call=_raise_qr_error, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        tau = _geqrf(a, signature="d->d")
-        q = _orgqr(a, tau, signature="dd->d")
+    q, a = _householder(x)
     d = a.diagonal()
-    col_scale = np.maximum(1.0, np.sqrt((x * x).sum(axis=0)))
-    bad = np.abs(d) < tol.absolute * col_scale
+    bad = _dependent(d, (x * x).sum(axis=0), tol)
     if bad.any():
-        raise RankDeficient(f"columns {np.nonzero(bad)[0].tolist()} numerically dependent")
+        raise _rank_error(bad)
     sign = np.where(d < 0.0, -1.0, 1.0)
     q *= sign
     return q, a, sign
+
+
+@np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _householder(x):
+    """geqrf, then orgqr, on a copy of x: q before the sign fix, and
+    geqrf's output (r unsigned, on and above its diagonal)."""
+    a = x.copy()  # geqrf overwrites it with r and the Householder vectors
+    tau = _geqrf(a, signature="d->d")
+    return _orgqr(a, tau, signature="dd->d"), a
+
+
+def _dependent(d, sumsq, tol):
+    """The rank test of a QR: whether each diagonal entry d of r is
+    negligible beside its column of x, whose squares sum to sumsq.  d and
+    sumsq are (..., k), for one matrix or a stack of them."""
+    return np.abs(d) < tol.absolute * np.maximum(1.0, np.sqrt(sumsq))
+
+
+def _rank_error(bad):
+    """The RankDeficient of one matrix's failed rank test."""
+    return RankDeficient(f"columns {np.nonzero(bad)[0].tolist()} numerically dependent")
 
 
 def tri_left(x):
@@ -154,8 +171,17 @@ def _vdots(e, f):
 
 
 def _hs_norms(e):
-    """hs_norm of each matrix in a stack (..., n, k), with its bits."""
-    return np.sqrt(np.maximum(_vdots(e, e) / e.shape[-1], 0.0))
+    """hs_norm of each matrix in a stack (..., n, k), with its bits.  A
+    finite matrix whose sum of squares overflows is scaled by its largest
+    entry first, so its norm is finite whenever it fits in a float."""
+    with np.errstate(over="ignore"):
+        sq = _vdots(e, e)
+        norms = np.sqrt(np.maximum(sq / e.shape[-1], 0.0))
+        big = np.isinf(sq) & np.isfinite(e).all(axis=(-2, -1))
+        if big.any():
+            s = np.abs(e[big]).max(axis=(-2, -1))
+            norms[big] = s * _hs_norms(e[big] / s[:, None, None])
+    return norms
 
 
 def proj_tangent_orth(x, b):

@@ -403,3 +403,70 @@ def path_json(cfg, a, samples, value_cols, meta):
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# ------------------------------------------ the exact integrator, step by step
+#
+# The exact flow as it ran before its steps were checked per block: one act
+# per grid step, each with its own rank, finiteness and isotropy tests.  Like
+# iso_orthonormalize_loop this is the package's algorithm, kept in its first
+# form as the bit reference (numpy.linalg.qr gives the bits of the package's
+# LAPACK calls).  A failed test raises StepError under the name of the
+# package's exception and with its message; anything else raised on the way
+# (numpy's LinAlgError, a warning turned into an error) passes through.
+
+
+class StepError(Exception):
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
+
+
+def act_loop(a, q, count, unitary=False, atol=1e-10):
+    """Yield the frame matrix after each of count steps q -> the Q factor,
+    with r's diagonal positive, of a @ q."""
+    j = None
+    if unitary:
+        m = q.shape[0] // 2
+        j = np.block([[np.zeros((m, m)), -np.eye(m)], [np.eye(m), np.zeros((m, m))]])
+    for _ in range(count):
+        y = a @ q
+        q, r = np.linalg.qr(y)
+        d = r.diagonal()
+        bad = np.abs(d) < atol * np.maximum(1.0, np.sqrt((y * y).sum(axis=0)))
+        if bad.any():
+            raise StepError(
+                "RankDeficient", f"columns {np.nonzero(bad)[0].tolist()} numerically dependent"
+            )
+        q = q * np.where(d < 0.0, -1.0, 1.0)
+        if not np.isfinite(q).all():
+            raise StepError("ValidationError", "columns are not orthonormal")
+        if unitary and np.max(np.abs(q.T @ j @ q)) > 1e-8:
+            raise StepError("NotUnitaryFrame", "columns are not pairwise isotropic")
+        yield q
+
+
+def exact_flow_loop(evals, evecs, q, step, horizon, unitary=False):
+    """Yield (t, frame matrix) along the exact flow of the symmetric matrix
+    with these eigenvalues and eigenvector columns, on the grid of
+    flow_path: floor(|horizon|/step + 1e-9) steps, then a remainder step
+    when more than 1e-12 of the horizon is left.  exp(dt a) is checked for
+    invertibility just before its first step."""
+    span = abs(horizon)
+    nsteps = int(np.floor(span / step + 1e-9))
+    rem = span - nsteps * step
+    dts = [step] * nsteps + ([rem] if rem > 1e-12 else [])
+    times = [i * step for i in range(1, nsteps + 1)] + [horizon]
+    mats = {}
+    yield 0.0, q
+    for t, dt in zip(times, dts):
+        if dt not in mats:
+            m = (evecs * np.exp(dt * np.asarray(evals))) @ evecs.T
+            if not np.isfinite(m).all():
+                raise StepError("Singular", "matrix has non-finite entries")
+            sv = np.linalg.svd(m, compute_uv=False)
+            if sv[0] == 0.0 or sv[-1] <= 1e-8 * sv[0]:
+                raise StepError("Singular", "matrix is numerically singular")
+            mats[dt] = m
+        (q,) = act_loop(mats[dt], q, 1, unitary)
+        yield t, q

@@ -118,6 +118,38 @@ def test_generate_matrix_names_the_value_that_normalizing_loses(text, message):
         assert _call(argv) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1e-310", "eigenvalue 1e-310 cannot be paired with its reciprocal, which overflows"),
+    ("2 1e-310", "eigenvalue 1e-310 cannot be paired with its reciprocal, which overflows"),
+    ("inf 2", "eigenvalue inf cannot be paired with its reciprocal, which underflows"),
+])
+def test_generate_matrix_names_the_paired_value_whose_reciprocal_is_lost(text, message):
+    # a paired list flips each value above one and pairs it with its
+    # reciprocal; the error names the value as given, before the inf or 0.0
+    vals = [float(v) for v in text.split()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            generate_matrix(vals, symplectic=True)
+        for command in ("flow", "lyapunov", "gradient-flow", "morse", "certify"):
+            argv = [command, "--n", str(len(vals)), "--k", "1", "--symplectic",
+                    "--eigenvalues", text]
+            assert _call(argv) == (1, "", f"error: {message}\n")
+    # the largest value whose reciprocal stays subnormal still pairs
+    assert generate_matrix([1e308], symplectic=True).evals == (1e308, 1.0 / 1e308)
+
+
+def test_lyapunov_grad_norm_stays_finite_at_huge_weights():
+    # the gradient's entries reach 1e160, so their squares overflow; the
+    # column reads the norm, with no warning (warnings are errors here)
+    code, out, err = _call(["lyapunov", "--n", "4", "--k", "2", "--weights", "1e80 1"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 1001
+    assert all(math.isfinite(float(r[2])) for r in rows)
+    assert float(rows[0][2]) > 1e160
+
+
 # -------------------------------------------------------------------- config
 
 

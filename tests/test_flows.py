@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from frameflow import cli, flows
+from frameflow import cli, flows, frames
 from frameflow.errors import (
     Divergence,
     NotProjector,
@@ -435,6 +435,174 @@ def test_flow_semigroup_law(case, s, t):
     y = flow(sd, flow(sd, x, s), t)
     assert y.kind == x.kind
     assert np.max(np.abs(y.mat - flow(sd, x, s + t).mat)) < 1e-9
+
+
+# ------------------------------------------- exact steps checked per block
+
+
+def _rows(path):
+    """The (t, frame matrix) rows of a path and the (name, message) of the
+    error that ends it, or None."""
+    rows = []
+    try:
+        for t, x in path:
+            rows.append((t, x.mat if isinstance(x, Frame) else x))
+    except oracles.StepError as exc:
+        return rows, (exc.name, str(exc))
+    except Exception as exc:
+        return rows, (type(exc).__name__, str(exc))
+    return rows, None
+
+
+def _same_as_the_loop(sd, x, step, horizon):
+    """flow_path's rows and error, after checking that they are the per-step
+    loop's: the same times, frames bit for bit, error and message."""
+    got = _rows(flow_path(sd, x, FlowConfig(step=step, horizon=horizon)))
+    want = _rows(oracles.exact_flow_loop(sd.evals, sd.evecs, x.mat, step, horizon,
+                                         x.kind == "unitary"))
+    assert got[1] == want[1]
+    assert [t for t, _ in got[0]] == [t for t, _ in want[0]]
+    for (_, m), (_, w) in zip(got[0], want[0]):
+        assert np.array_equal(m.view(np.int64), w.view(np.int64))
+    return len(got[0]), got[1]
+
+
+def _closing_frame(theta, a=0.005, b=0.002, dt=0.01):
+    """A plane frame at angle theta under a spectrum whose steps scale by
+    (1 + a) and (1 - b) times 1e-10: the second column's r entry falls to
+    the 1e-10 of the rank test as the frame turns, later for larger theta."""
+    sd = SpectralData((math.log(1e-10 * (1 + a)) / dt, math.log(1e-10 * (1 - b)) / dt),
+                      np.eye(2))
+    c, s = math.cos(theta), math.sin(theta)
+    return sd, Frame(np.array([[c, -s], [s, c]]))
+
+
+def _leaking_frame(delta, seed=7):
+    """A unitary frame in 4-space under a spectrum that is paired up to
+    delta: its exponential is not symplectic, so isotropy leaks, slower
+    for smaller delta."""
+    sd = SpectralData((1.0, 0.5, -1.0 + delta, -0.5), np.eye(4))
+    rng = np.random.default_rng(seed)
+    return sd, Frame(oracles.iso_gs(rng.standard_normal((4, 2)), symplectic_j(2)), "unitary")
+
+
+_RANK = ("RankDeficient", "columns [1] numerically dependent")
+_ISO = ("NotUnitaryFrame", "columns are not pairwise isotropic")
+
+
+@pytest.mark.parametrize("case,horizon,rows,error", [
+    (_closing_frame(0.66), 2.0, 30, _RANK),  # step 30, mid-block
+    (_closing_frame(0.777), 2.0, 64, _RANK),  # step 64, the block's last
+    (_closing_frame(0.78), 2.0, 65, _RANK),  # step 65, the next block's first
+    (_closing_frame(0.996), 2.0, 128, _RANK),
+    (_closing_frame(0.66), 0.5, 30, _RANK),  # in a path of one short block
+    (_closing_frame(1.0), 1.5, 130, _RANK),  # in the short block after two full ones
+    (_leaking_frame(1e-7), 2.0, 22, _ISO),
+    (_leaking_frame(3.55e-8), 2.0, 64, _ISO),
+    (_leaking_frame(1e-7), 0.217, 22, _ISO),  # the remainder step after 21 steps
+    (_leaking_frame(3.5e-8), 0.655, 66, _ISO),  # the remainder step after 65 steps
+    (_leaking_frame(3.5e-8), 0.645, 66, None),
+])
+def test_exact_path_fails_at_the_step_of_the_per_step_loop(case, horizon, rows, error):
+    # rows before the failing step come out, then that step's error; each
+    # case pins the step, so the block boundaries and the remainder are met
+    sd, x = case
+    assert _same_as_the_loop(sd, x, 0.01, horizon) == (rows, error)
+
+
+@st.composite
+def _exact_cases(draw):
+    """A spectrum, a frame, a step and a horizon of up to 150 steps: a
+    generic spectrum, a closing one that fails the rank test at some step,
+    or, for unitary frames, one paired up to a small leak."""
+    unitary = draw(st.booleans())
+    family = draw(st.sampled_from(["generic", "closing", "leaking" if unitary else "closing"]))
+    step = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    horizon = step * draw(st.integers(1, 150)) + draw(st.sampled_from([0.0, 0.3, 0.7])) * step
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "closing":
+        sd, x = _closing_frame(rng.uniform(0.5, 1.0), rng.uniform(0.002, 0.01),
+                               rng.uniform(0.001, 0.004), step)
+    elif family == "leaking":
+        sd, x = _leaking_frame(10.0 ** rng.uniform(-8.0, -6.0), int(rng.integers(100)))
+    elif unitary:
+        n = draw(st.integers(1, 4))
+        k = draw(st.integers(1, n))
+        lam = rng.uniform(-3.0, 3.0, n)
+        sd = SpectralData((*lam, *-lam), oracles.random_orthogonal_symplectic(rng, n))
+        x = Frame(oracles.iso_gs(rng.standard_normal((2 * n, k)), symplectic_j(n)), "unitary")
+    else:
+        n = draw(st.integers(1, 8))
+        sd = SpectralData(tuple(rng.uniform(-3.0, 3.0, n)), oracles.random_orthogonal(rng, n))
+        x = _random_frame(rng, n, draw(st.integers(1, n)))
+    return sd, x, step, horizon
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_cases())
+def test_exact_path_is_the_per_step_loop(case):
+    _same_as_the_loop(*case)
+
+
+def _qr_with_fault(real, at, fault, seen):
+    """real, whose call number at (from 0) returns a NaN q or raises; each
+    call first records whether its input is finite."""
+    calls = []
+
+    def qr(y, *args, **kwargs):
+        seen.append(bool(np.isfinite(y).all()))
+        calls.append(None)
+        out = real(y, *args, **kwargs)
+        if len(calls) - 1 == at:
+            if fault == "nan":
+                return (np.full_like(out[0], np.nan), *out[1:])
+            raise np.linalg.LinAlgError("injected")
+        return out
+
+    return qr
+
+
+@pytest.mark.parametrize("at", [0, 9, 63, 64, 130])
+@pytest.mark.parametrize("fault", ["nan", "raise"])
+def test_exact_path_stops_at_a_step_that_turns_nan_or_raises(monkeypatch, at, fault):
+    # a step whose q is not finite is the last one to run; an error raised
+    # inside a block comes after the block's earlier steps, once checked
+    rng = np.random.default_rng(3)
+    sd = SpectralData(tuple(rng.uniform(-2.0, 2.0, 5)), oracles.random_orthogonal(rng, 5))
+    x = _random_frame(rng, 5, 3)
+    seen = []
+    monkeypatch.setattr(frames, "_householder", _qr_with_fault(frames._householder, at,
+                                                               fault, seen))
+    monkeypatch.setattr(np.linalg, "qr", _qr_with_fault(np.linalg.qr, at, fault, []))
+    error = (("ValidationError", "columns are not orthonormal") if fault == "nan"
+             else ("LinAlgError", "injected"))
+    assert _same_as_the_loop(sd, x, 0.01, 2.0) == (at + 1, error)
+    assert seen == [True] * (at + 1)
+
+
+@pytest.mark.parametrize("at,rows,error", [(19, 20, ("LinAlgError", "injected")),
+                                           (40, 30, _RANK)])
+def test_an_error_inside_a_block_comes_after_its_checked_steps(monkeypatch, at, rows, error):
+    # the closing frame fails the rank test at step 30: an error raised at a
+    # later step of the same block never shows
+    sd, x = _closing_frame(0.66)
+    monkeypatch.setattr(frames, "_householder", _qr_with_fault(frames._householder, at,
+                                                               "raise", []))
+    monkeypatch.setattr(np.linalg, "qr", _qr_with_fault(np.linalg.qr, at, "raise", []))
+    assert _same_as_the_loop(sd, x, 0.01, 1.0) == (rows, error)
+
+
+def test_an_overflowed_column_fails_the_rank_test_without_a_warning():
+    # exp(0.01 * 50000) ~ 1e217: the squares of the moved column overflow,
+    # which takes the rank test's column scale to inf; the step fails that
+    # test as it did, now without numpy's overflow warning
+    sd = SpectralData((50000.0, 49990.0), np.eye(2))
+    x = Frame(np.eye(2, 1))
+    with np.errstate(over="ignore"):
+        want = _rows(oracles.exact_flow_loop(sd.evals, sd.evecs, x.mat, 0.01, 1.0))
+    got = _rows(flow_path(sd, x, FlowConfig(step=0.01, horizon=1.0)))  # warnings are errors
+    assert len(got[0]) == len(want[0]) == 1
+    assert got[1] == want[1] == ("RankDeficient", "columns [0] numerically dependent")
 
 
 @pytest.mark.parametrize("x", [Frame(np.eye(3, 2)), Frame(np.eye(4, 2), "unitary")])

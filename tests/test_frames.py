@@ -18,7 +18,7 @@ from frameflow.errors import (
 from frameflow.frames import (
     Frame,
     Signature,
-    _act_checked,
+    _act_steps,
     act,
     flag_distance,
     frame_from_json,
@@ -197,7 +197,7 @@ def test_act_step_rejects_a_product_that_turns_nan():
         a = np.eye(x.n)
         a[1, 1] = np.nan
         with pytest.raises(ValidationError, match="^columns are not orthonormal$"):
-            _act_checked(a, x)
+            list(_act_steps(a, x, 1))
 
 
 def test_act_keeps_the_isotropy_check_for_unitary_frames():

@@ -297,6 +297,24 @@ def test_stacked_vdot_is_vdot_bits():
     assert bits(_vdots(e, f)) == bits([np.vdot(a, b) for a, b in zip(e, f)])
 
 
+def test_hs_norms_rescale_only_the_matrices_whose_squares_overflow():
+    # a finite matrix whose sum of squares overflows gets a finite norm, with
+    # no warning; every other matrix keeps hs_norm's bits, inf and NaN too
+    rng = np.random.default_rng(13)
+    e = rng.standard_normal((6, 4, 2))
+    e[1] *= 1e160
+    e[2] *= 1e300
+    e[3, 0, 0] = np.inf
+    e[4, 1, 1] = np.nan
+    got = _hs_norms(e)  # warnings are errors
+    plain = [0, 3, 4, 5]
+    with np.errstate(over="ignore"):
+        want = [hs_norm(e[i]) for i in plain]
+    assert got[plain].view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    for i, scale in ((1, 1e160), (2, 1e300)):
+        assert got[i] == pytest.approx(scale * hs_norm(e[i] / scale), rel=1e-15)
+
+
 # ---------------------------------------------------------------- projections
 
 
