@@ -25,6 +25,7 @@ from .flows import (
     FlowConfig,
     SpectralData,
     Weights,
+    _default_weights,
     _energy,
     _field_raw,
     _gradient_rows,
@@ -282,7 +283,7 @@ def _weight_ladder(cfg):
                 f"k={cfg.k} needs {cfg.k} weights, got {len(cfg.weights)}"
             )
         return Weights(cfg.weights)
-    return Weights(tuple((cfg.k - i) / cfg.k for i in range(cfg.k)))
+    return _default_weights(cfg.k)
 
 
 def _start_frame(cfg, a):
@@ -469,7 +470,8 @@ def run(cfg):
 def main(argv=None):
     """Console entry point; returns the process exit code."""
     try:
-        return run(_config_from_args(argv))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(_config_from_args(argv))
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -31,7 +31,7 @@ from .errors import (
     WeightsNotStrict,
 )
 from .frames import KIND_UNITARY, Frame, _act_steps, _invertible
-from .linalg import _hs_norms, _j, _qr_q, _vdots, tri_left
+from .linalg import _hs_norms, _j, _orthonormal, _qr_q, _vdots, tri_left
 
 _SIMPLE_GAP = 1e-10
 _MONOTONE_SLACK = 1e-10
@@ -62,7 +62,7 @@ class SpectralData:
             raise ValidationError(
                 f"{len(vals)} eigenvalues for a {vecs.shape[0]}-dimensional basis"
             )
-        if not np.allclose(vecs.T @ vecs, np.eye(vecs.shape[0]), atol=1e-8):
+        if not _orthonormal(vecs):
             raise ValidationError("eigenvector columns are not orthonormal")
         vecs.setflags(write=False)
         object.__setattr__(self, "evals", vals)
@@ -131,6 +131,11 @@ class Weights:
     @property
     def is_strict(self):
         return all(a > b for a, b in zip(self.values, self.values[1:]))
+
+
+def _default_weights(k):
+    """The weights (k - i) / k, i = 0, ..., k - 1, of a run that gives none."""
+    return Weights(tuple((k - i) / k for i in range(k)))
 
 
 _INTEGRATORS = ("exact", "rk4")
@@ -285,23 +290,25 @@ def flow_path(a, x, config):
     yield from _walk(x, config.horizon, config.step, stepper)
 
 
-def quad(a, b, x):
-    """Weighted quadratic energy of the frame: the mean of b_i^2 times the
-    Rayleigh quotient of a at column i."""
+def _energy_input(a, b, x):
+    """a's matrix and the weights b as an array, once both fit the frame x."""
     amat = _as_sym(a, x.n)
     if b.k != x.k:
         raise ShapeMismatch(f"{b.k} weights for a frame with k={x.k}")
-    return _energy(amat, np.asarray(b.values), x.mat)
+    return amat, np.asarray(b.values)
+
+
+def quad(a, b, x):
+    """Weighted quadratic energy of the frame: the mean of b_i^2 times the
+    Rayleigh quotient of a at column i."""
+    return float(_energy(*_energy_input(a, b, x), x.mat))
 
 
 def _energy(amat, w, m):
     """quad at the frame matrix m, with a's matrix amat and the weights w
     as an array; a stack of frame matrices gives an array of values."""
     m = m * w
-    am = amat @ m
-    if m.ndim == 2:  # one frame: vdot, without the stack's reshapes
-        return float(np.vdot(am, m)) / m.shape[1]
-    return _vdots(am, m) / m.shape[-1]
+    return _vdots(amat @ m, m) / m.shape[-1]
 
 
 def _grad_raw(amat, bsq, m):
@@ -322,11 +329,8 @@ def quad_gradient(a, b, x):
     """Gradient of the weighted quadratic energy at the frame x; pairs with
     tangent directions as the derivative of quad and vanishes exactly at
     eigenvector frames."""
-    amat = _as_sym(a, x.n)
-    if b.k != x.k:
-        raise ShapeMismatch(f"{b.k} weights for a frame with k={x.k}")
-    bsq = np.asarray(b.values) ** 2
-    return _grad_raw(amat, bsq, x.mat)
+    amat, w = _energy_input(a, b, x)
+    return _grad_raw(amat, w**2, x.mat)
 
 
 def _gradient_rows(a, b, x, config, direction):
@@ -337,10 +341,8 @@ def _gradient_rows(a, b, x, config, direction):
         raise ValidationError("step must not exceed horizon")
     if direction not in (1, -1):
         raise ValidationError(f"direction must be +1 or -1, got {direction}")
-    amat = _as_sym(a, x.n)
-    if b.k != x.k:
-        raise ShapeMismatch(f"{b.k} weights for a frame with k={x.k}")
-    field = partial(_grad_field, amat, (2.0 * direction) * np.asarray(b.values) ** 2)
+    amat, w = _energy_input(a, b, x)
+    field = partial(_grad_field, amat, (2.0 * direction) * w**2)
 
     def advance(y, dt, count):
         return (_rk4_step(field, y, dt, g),)

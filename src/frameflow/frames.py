@@ -4,7 +4,6 @@ them, truncation to shorter frames, and the induced flags."""
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -17,27 +16,20 @@ from .errors import (
     Singular,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, _dependent, _householder, _j, _rank_error, hs_norm
+from .linalg import (
+    _FRAME_ATOL,
+    DEFAULT_TOL,
+    _dependent,
+    _householder,
+    _isotropy_defect,
+    _orthonormal,
+    _rank_error,
+    hs_norm,
+)
 
 KIND_ORTHOGONAL = "orthogonal"
 KIND_UNITARY = "unitary"
 _KINDS = (KIND_ORTHOGONAL, KIND_UNITARY)
-
-_FRAME_ATOL = 1e-8
-# relative part of the Gram tolerance, np.allclose's default: it only widens
-# the diagonal entries, where the identity is one
-_FRAME_RTOL = 1e-5
-
-
-@lru_cache(maxsize=None)
-def _gram_bounds(k):
-    """The identity of size k and the entrywise bound on gram - identity."""
-    eye = np.eye(k)
-    bound = _FRAME_ATOL + _FRAME_RTOL * eye
-    eye.setflags(write=False)
-    bound.setflags(write=False)
-    return eye, bound
-
 
 class Frame:
     """A tuple of orthonormal columns in n-space.
@@ -58,10 +50,7 @@ class Frame:
             raise ShapeMismatch(f"need 1 <= columns <= rows, got {n}x{k}")
         if kind not in _KINDS:
             raise ValidationError(f"unknown frame kind {kind!r}")
-        # allclose(gram, eye, atol=_FRAME_ATOL) without its overhead; NaN and
-        # inf entries fail the comparison
-        eye, bound = _gram_bounds(k)
-        if not (np.abs(m.T @ m - eye) <= bound).all():
+        if not _orthonormal(m):
             raise ValidationError("columns are not orthonormal")
         if kind == KIND_UNITARY:
             if n % 2:
@@ -236,12 +225,6 @@ def is_isotropic(x, atol=_FRAME_ATOL):
     if n % 2:
         raise OddAmbient(f"ambient dimension {n} is odd")
     return bool(_isotropy_defect(m) <= atol)
-
-
-def _isotropy_defect(m):
-    """The largest |m^T j m| entry of a matrix with an even number of rows,
-    or of each matrix in a stack of them."""
-    return np.abs(m.mT @ _j(m.shape[-2] // 2) @ m).max(axis=(-2, -1))
 
 
 def frame_to_json(x):

@@ -1,7 +1,6 @@
 """Core matrix operations: sign-fixed QR, the triangular bracket used by
 QR-style calculus, Hilbert-Schmidt inner products and tangent projections."""
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -33,6 +32,8 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+# the entrywise tolerance of a frame's Gram and isotropy tests
+_FRAME_ATOL = 1e-8
 
 
 class QRPair(NamedTuple):
@@ -45,6 +46,14 @@ def _as_matrix(x, name="x"):
     if m.ndim != 2:
         raise ShapeMismatch(f"{name} must be a 2-d array, got ndim={m.ndim}")
     return m
+
+
+def _same_shape(x, y, names="xb"):
+    """x and y as float matrices of one shape; names are theirs in errors."""
+    x, y = _as_matrix(x, names[0]), _as_matrix(y, names[1])
+    if y.shape != x.shape:
+        raise ShapeMismatch(f"shapes differ: {x.shape} vs {y.shape}")
+    return x, y
 
 
 def _raise_qr_error(err, flag):
@@ -152,45 +161,41 @@ def tangent_qr(x, v, tol=DEFAULT_TOL):
 def hs_inner(e, f):
     """Trace inner product scaled by the number of columns, so that every
     orthonormal frame has norm one."""
-    e = _as_matrix(e, "e")
-    f = _as_matrix(f, "f")
-    if e.shape != f.shape:
-        raise ShapeMismatch(f"shapes differ: {e.shape} vs {f.shape}")
-    return float(np.vdot(e, f)) / e.shape[1]
+    e, f = _same_shape(e, f, "ef")
+    return float(_vdots(e, f)) / e.shape[1]
 
 
 def hs_norm(e):
-    m = _as_matrix(e, "e")
-    return math.sqrt(max(float(np.vdot(m, m)) / m.shape[1], 0.0))
+    """sqrt(hs_inner(e, e)), finite whenever it fits in a float."""
+    return float(_hs_norms(_as_matrix(e, "e")))
 
 
 def _vdots(e, f):
-    """np.vdot of each pair of matrices in two stacks (..., n, k), with its
-    bits: the (1, nk) @ (nk, 1) product runs vdot's dot kernel."""
-    return (e.reshape(*e.shape[:-2], 1, -1) @ f.reshape(*f.shape[:-2], -1, 1))[..., 0, 0]
+    """np.vdot of two matrices (n, k), or of each pair in two stacks of
+    them (..., n, k), with its bits and, as vdot, without floating-point
+    warnings: the (1, nk) @ (nk, 1) product runs vdot's dot kernel."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (e.reshape(*e.shape[:-2], 1, -1) @ f.reshape(*f.shape[:-2], -1, 1))[..., 0, 0]
 
 
 def _hs_norms(e):
-    """hs_norm of each matrix in a stack (..., n, k), with its bits.  A
-    finite matrix whose sum of squares overflows is scaled by its largest
-    entry first, so its norm is finite whenever it fits in a float."""
-    with np.errstate(over="ignore"):
+    """hs_norm of a matrix (n, k) or of each in a stack (..., n, k), with its
+    bits.  A finite matrix whose sum of squares overflows is scaled by its
+    largest entry first, so its norm is finite whenever it fits in a float."""
+    with np.errstate(over="ignore", invalid="ignore"):
         sq = _vdots(e, e)
         norms = np.sqrt(np.maximum(sq / e.shape[-1], 0.0))
         big = np.isinf(sq) & np.isfinite(e).all(axis=(-2, -1))
-        if big.any():
-            s = np.abs(e[big]).max(axis=(-2, -1))
-            norms[big] = s * _hs_norms(e[big] / s[:, None, None])
+        if big.any():  # the other matrices' scaled norms are dropped
+            s = np.abs(e).max(axis=(-2, -1))
+            norms = np.where(big, s * _hs_norms(e / s[..., None, None]), norms)
     return norms
 
 
 def proj_tangent_orth(x, b):
     """Orthogonal projection of an ambient matrix b onto the tangent space
     of the orthonormal-frame manifold at the frame x."""
-    x = _as_matrix(x)
-    b = _as_matrix(b, "b")
-    if b.shape != x.shape:
-        raise ShapeMismatch(f"shapes differ: {x.shape} vs {b.shape}")
+    x, b = _same_shape(x, b)
     xtb = x.T @ b
     return 0.5 * x @ (xtb - xtb.T) + b - x @ xtb
 
@@ -212,11 +217,24 @@ def symplectic_j(n):
 
 @lru_cache(maxsize=None)
 def _j(n):
-    """symplectic_j(n) built once per n and read-only, for the per-step
-    isotropy checks and retracts."""
+    """symplectic_j(n) built once per n and read-only, the J that every
+    check, retract and projection in the package reads."""
     j = symplectic_j(n)
     j.setflags(write=False)
     return j
+
+
+def _orthonormal(m):
+    """Whether the columns of m are orthonormal: its Gram matrix is the
+    identity up to _FRAME_ATOL (and np.allclose's relative part, which only
+    widens the diagonal).  NaN and inf entries fail."""
+    return np.allclose(m.mT @ m, np.eye(m.shape[-1]), atol=_FRAME_ATOL)
+
+
+def _isotropy_defect(m):
+    """The largest |m^T j m| entry of a matrix with an even number of rows,
+    or of each matrix in a stack of them; 0 for no columns."""
+    return np.abs(m.mT @ _j(m.shape[-2] // 2) @ m).max(axis=(-2, -1), initial=0.0)
 
 
 def proj_tangent_unitary(x, b):
@@ -226,17 +244,11 @@ def proj_tangent_unitary(x, b):
     Requires x to have orthonormal, pairwise isotropic columns in an
     even-dimensional ambient space.
     """
-    x = _as_matrix(x)
-    b = _as_matrix(b, "b")
-    if b.shape != x.shape:
-        raise ShapeMismatch(f"shapes differ: {x.shape} vs {b.shape}")
-    n2, k = x.shape
-    if n2 % 2:
-        raise OddAmbient(f"ambient dimension {n2} is odd")
-    j = symplectic_j(n2 // 2)
-    gram = x.T @ x
-    iso = x.T @ j @ x
-    if not (np.allclose(gram, np.eye(k), atol=1e-8) and np.allclose(iso, 0.0, atol=1e-8)):
+    x, b = _same_shape(x, b)
+    if x.shape[0] % 2:
+        raise OddAmbient(f"ambient dimension {x.shape[0]} is odd")
+    j = _j(x.shape[0] // 2)
+    if not (_orthonormal(x) and _isotropy_defect(x) <= _FRAME_ATOL):
         raise NotUnitaryFrame("columns must be orthonormal and pairwise isotropic")
     xtb = x.T @ b
     xjb = x.T @ j @ b

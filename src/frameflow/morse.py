@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     WeightsNotStrict,
 )
-from .flows import SpectralData, Weights, _energy, _retract, default_spectral
+from .flows import SpectralData, Weights, _default_weights, _energy, _retract, default_spectral
 from .frames import KIND_ORTHOGONAL, KIND_UNITARY, Frame
 from .skeleton import (
     Perm,
@@ -407,7 +407,7 @@ def perfectness_certificate(
     """
     pts = fixed_points(n, k, symplectic, max_points)
     a = default_spectral(n, symplectic) if spectral is None else spectral
-    b = Weights(tuple((k - i) / k for i in range(k))) if weights is None else weights
+    b = _default_weights(k) if weights is None else weights
     if numeric is None:
         numeric = n <= 2 if symplectic else n <= 4
     reports = _reports(a, b, pts)

@@ -18,7 +18,7 @@ from .errors import (
     ValidationError,
 )
 from .frames import KIND_ORTHOGONAL, KIND_UNITARY, Frame
-from .linalg import symplectic_j
+from .linalg import _j
 
 
 def _is_size(v):
@@ -303,7 +303,7 @@ def member(t, x, basis, tol=1e-8):
 
 
 def _j_compatible(basis, n):
-    j = symplectic_j(n)
+    j = _j(n)
     return np.allclose(j @ basis.evecs[:, :n], basis.evecs[:, n:], atol=1e-8)
 
 
@@ -319,7 +319,7 @@ def sample_stratum(t, basis, rng, max_tries=20):
             "eigenbasis must map to itself under the skew form (column i to i+n)"
         )
     evecs = basis.evecs
-    j = symplectic_j(t.n) if t.symplectic else None
+    j = _j(t.n) if t.symplectic else None
     for _ in range(max_tries):
         cols = []
         ok = True
@@ -358,7 +358,7 @@ def constraint_rank_deficiency(t, x, basis):
     idx = [[e for e in range(u) if m >> e & 1] for m in t.masks]
     offsets = np.cumsum([0] + [len(ix) for ix in idx])
     dom = int(offsets[-1])
-    jmat = symplectic_j(t.n) if t.symplectic else None
+    jmat = _j(t.n) if t.symplectic else None
     rows = []
 
     def coeff(col_vec, node, row):

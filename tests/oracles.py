@@ -7,6 +7,7 @@ poset searches instead of recursions) so that agreement is meaningful.
 """
 
 import json
+import math
 
 import numpy as np
 import scipy.linalg
@@ -470,3 +471,21 @@ def exact_flow_loop(evals, evecs, q, step, horizon, unitary=False):
             mats[dt] = m
         (q,) = act_loop(mats[dt], q, 1, unitary)
         yield t, q
+
+
+# The np.vdot formulas of the one-matrix trace products, frozen: the package
+# runs them through its stacked dot, which must keep these bits.
+
+
+def vdot_hs_inner(e, f):
+    return float(np.vdot(e, f)) / e.shape[1]
+
+
+def vdot_hs_norm(e):
+    return math.sqrt(max(vdot_hs_inner(e, e), 0.0))
+
+
+def vdot_quad(amat, w, m):
+    """quad at the frame matrix m, for a's matrix amat and the weights w."""
+    m = m * w
+    return vdot_hs_inner(amat @ m, m)

@@ -674,14 +674,33 @@ def test_gradient_flow_drift_failure_message():
     ("gradient-flow", "column norms drifted by nan; reduce the step"),
 ])
 def test_overflowing_spectrum_is_a_numerical_failure(command, message):
-    # exp(dt * 1e300) and the RK4 stages overflow to inf and NaN; numpy
-    # warns on the way, and the command exits 2 instead of crashing in the
-    # SVD or passing a NaN drift
+    # exp(dt * 1e300) and the RK4 stages overflow to inf and NaN; the
+    # command exits 2 instead of crashing in the SVD or passing a NaN drift,
+    # and numpy's warnings on the way stay silent
     argv = [command, "--n", "3", "--k", "2", "--eigenvalues", "1e300 1 1e-300",
             "--horizon", "0.05"]
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, out, err = _call(argv)
     assert (code, out, err) == (2, "", f"numerical failure: {message}\n")
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["gradient-flow", "--n", "4", "--k", "2", "--weights", "1e3 1"], 2,
+     "numerical failure: column norms drifted by inf; reduce the step\n"),
+    (["gradient-flow", "--n", "4", "--k", "2", "--weights", "1e40 1"], 2,
+     "numerical failure: column norms drifted by nan; reduce the step\n"),
+    (["lyapunov", "--n", "2", "--k", "1", "--symplectic", "--eigenvalues", "1e308 2"], 0, ""),
+])
+def test_overflow_inside_a_command_prints_no_numpy_warning(argv, code, message):
+    # main runs every command under one errstate: the overflow shows in the
+    # exit code and message, or as inf and NaN in the output, never as a
+    # RuntimeWarning on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _call([*argv, "--horizon", "0.05"])
+    assert got[0] == code and got[2] == message
+    assert (got[1] == "") == (code != 0)
 
 
 @pytest.mark.parametrize("command", ["flow", "gradient-flow", "lyapunov"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from frameflow.errors import (
@@ -12,7 +13,10 @@ from frameflow.errors import (
     OddAmbient,
     RankDeficient,
     ShapeMismatch,
+    ValidationError,
 )
+from frameflow.flows import SpectralData, Weights, quad
+from frameflow.frames import Frame
 from frameflow.linalg import (
     Tolerance,
     _hs_norms,
@@ -268,7 +272,7 @@ def test_hs_norm_bitwise_equals_inner_formula():
             m = m.T.copy().T
         cases.append(m)
     cases += [np.full((3, 2), np.nan), np.full((2, 2), np.inf), np.array([[1.0, -np.inf]]),
-              np.array([[np.nan, np.inf]]), np.full((4, 3), 1e200), np.zeros((2, 1)),
+              np.array([[np.nan, np.inf]]), np.zeros((2, 1)),
               np.full((2, 2), -0.0), [[3.0, 4.0]], [[1, 2], [3, 4]]]
     for m in cases:
         want = float(np.sqrt(max(hs_inner(m, m), 0.0)))
@@ -313,6 +317,93 @@ def test_hs_norms_rescale_only_the_matrices_whose_squares_overflow():
     assert got[plain].view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
     for i, scale in ((1, 1e160), (2, 1e300)):
         assert got[i] == pytest.approx(scale * hs_norm(e[i] / scale), rel=1e-15)
+    # one matrix alone, through _hs_norms and hs_norm, where hs_inner overflows
+    for m, norm in ((1e200 * np.eye(3, 2), 1e200), (np.full((4, 3), 1e200), 2e200)):
+        assert float(_hs_norms(m)) == hs_norm(m) == norm
+        assert hs_inner(m, m) == np.inf
+
+
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e100, 1e100))
+
+
+def _laid_out(data, shape):
+    """A drawn matrix of the shape, stored C-ordered, Fortran-ordered or
+    strided on both axes."""
+    m = data.draw(hnp.arrays(np.float64, shape, elements=_SIGNED))
+    layout = data.draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(m)
+    if layout == "strided":
+        big = np.full((2 * shape[0], 3 * shape[1]), np.nan)
+        big[::2, ::3] = m
+        return big[::2, ::3]
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_matrix_trace_products_keep_vdot_bits(data):
+    # hs_inner, hs_norm and quad keep the bits of their np.vdot formulas
+    # on every layout, signed zeros included
+    def bits(x):
+        return struct.pack("<d", x)
+
+    n = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(1, min(n, 6)))
+    e, f = _laid_out(data, (n, k)), _laid_out(data, (n, k))
+    assert bits(hs_inner(e, f)) == bits(oracles.vdot_hs_inner(e, f))
+    assert bits(hs_norm(e)) == bits(oracles.vdot_hs_norm(e))
+    # a signed-permutation frame with signed zeros, and nonincreasing weights
+    cols = data.draw(st.permutations(range(n)))[:k]
+    x = np.where(data.draw(hnp.arrays(bool, (n, k))), -0.0, 0.0)
+    x[cols, range(k)] = data.draw(hnp.arrays(np.float64, k, elements=st.sampled_from([-1.0, 1.0])))
+    w = sorted(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)), reverse=True)
+    a = _laid_out(data, (n, n))
+    assert bits(quad(a, Weights(w), Frame(x))) == bits(oracles.vdot_quad(a, np.array(w), x))
+
+
+def test_gram_rule_is_allclose_to_the_identity():
+    # Frame, SpectralData and proj_tangent_unitary accept a matrix exactly
+    # when np.allclose(gram, I, atol=1e-8) does; the draws straddle that
+    # bound on the diagonal (1e-8 + 1e-5 there) and off it (1e-8)
+    rng = np.random.default_rng(21)
+    seen = set()
+    cases = []
+    for trial in range(400):
+        n = int(rng.integers(1, 5))
+        if trial % 2:  # off the diagonal: a strictly upper shear
+            p = np.triu(rng.choice([-1.0, 1.0], (n, n)) * 1e-8
+                        * (1.0 + rng.uniform(-1e-2, 1e-2, (n, n))), 1)
+        else:  # on it: 1 + 2d of a column scaled by 1 + d
+            p = np.diag(rng.choice([-1.0, 1.0], n) * (1e-8 + 1e-5) / 2.0
+                        * (1.0 + rng.uniform(-1e-3, 1e-3, n)))
+        cases.append((trial % 2, np.eye(n) + p))
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    cases += [(2, bad), (2, np.diag([1.0, np.inf])), (2, np.full((2, 2), np.inf))]
+    for where, mat in cases:
+        n = mat.shape[0]
+        with np.errstate(invalid="ignore"):  # the Gram matrices of inf entries
+            want = bool(np.allclose(mat.T @ mat, np.eye(n), atol=1e-8))
+            seen.add((where, want))
+            assert _accepts(lambda: SpectralData(tuple(range(n)), mat)) == want
+            for k in range(1, n + 1):
+                x = np.ascontiguousarray(mat[:, :k])
+                iso = np.zeros((2 * n, k))
+                iso[:n] = x  # spans a Lagrangian subspace: exactly isotropic
+                want = bool(np.allclose(x.T @ x, np.eye(k), atol=1e-8))
+                assert _accepts(lambda: Frame(x)) == want
+                assert _accepts(lambda: Frame(iso, "unitary")) == want
+                assert _accepts(lambda: proj_tangent_unitary(iso, iso)) == want
+    assert seen >= {(0, True), (0, False), (1, True), (1, False), (2, False)}
+
+
+def _accepts(make):
+    try:
+        make()
+    except ValidationError:  # NotUnitaryFrame included
+        return False
+    return True
 
 
 # ---------------------------------------------------------------- projections
